@@ -14,6 +14,7 @@ from .convolution import (
     convolve_direct,
     convolve_ntt,
     deconvolve,
+    recovery_bound,
     schoolbook_multiply,
     select_moduli,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "mod_reduce",
     "multiplicative_order",
     "rader_number",
+    "recovery_bound",
     "schoolbook_multiply",
     "select_moduli",
     "shift_mul",

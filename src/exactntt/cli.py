@@ -123,20 +123,6 @@ def _resolve_modulus_arg(value: int, reg):
 # -- convolve ------------------------------------------------------------
 
 
-def _auto_moduli(n: int, bf: int, bg: int, signed: bool, reg):
-    """Smallest adequate single prime, else a CRT set; None if impossible."""
-    single_need = (2 if signed else 1) * n * bf * bg
-    candidates = sorted(
-        (e for e in reg if e.admits_length(n)), key=lambda e: e.prime
-    )
-    if not candidates:
-        raise InvalidLength(f"no registry modulus admits length {n}")
-    for entry in candidates:
-        if entry.prime > single_need:
-            return [entry]
-    return convolution.select_moduli(n, 2 * n * bf * bg, reg)
-
-
 def cmd_convolve(args) -> int:
     reg = registry.load_registry(args.registry)
     if args.self_test:
@@ -156,39 +142,26 @@ def cmd_convolve(args) -> int:
     bf = max(bound_f or 0, max((abs(v) for v in f), default=0))
     bg = max(bound_g or 0, max((abs(v) for v in g), default=0))
     signed = any(v < 0 for v in f) or any(v < 0 for v in g)
+    need = convolution.recovery_bound(n, bf, bg, signed)
 
-    if args.modulus:
-        moduli = [_resolve_modulus_arg(m, reg) for m in args.modulus]
-        if len(moduli) == 1 and not args.crt:
-            _diag(f"modulus: {args.modulus[0]} (single prime)")
-            result = convolution.convolve_ntt(f, g, moduli[0])
-        elif len(moduli) == 1 and args.crt:
-            try:
-                result = convolution.convolve_ntt(f, g, moduli[0])
-                _diag(f"modulus: {args.modulus[0]} (single prime, bound ok)")
-            except BoundExceeded:
-                moduli = convolution.select_moduli(n, 2 * n * bf * bg, reg)
-                _diag(
-                    "bound exceeded for single prime; escalated to CRT over "
-                    + ", ".join(str(m.prime) for m in moduli)
-                )
-                result = convolution.convolve_crt(f, g, moduli)
-        else:
-            _diag("CRT over moduli: " + ", ".join(str(m) for m in args.modulus))
-            result = convolution.convolve_crt(f, g, moduli)
+    if not args.modulus:
+        if not any(entry.admits_length(n) for entry in reg):
+            raise InvalidLength(f"no registry modulus admits length {n}")
+        moduli = convolution.select_moduli(n, need, reg)
+        source = "auto-selected moduli"
+    elif args.crt and len(args.modulus) == 1 and args.modulus[0] <= need:
+        moduli = convolution.select_moduli(n, need, reg)
+        source = f"bound exceeded for single prime {args.modulus[0]}; escalated to CRT over"
     else:
-        moduli = _auto_moduli(n, bf, bg, signed, reg)
-        primes = [m.prime for m in moduli]
-        need = (2 if signed else 1) * n * bf * bg
-        capacity = math.prod(primes)
-        _diag(
-            f"auto-selected moduli {primes}; bound audit: "
-            f"{'2*' if signed else ''}N*Bf*Bg = {need} < capacity {capacity}"
-        )
-        if len(moduli) == 1:
-            result = convolution.convolve_ntt(f, g, moduli[0])
-        else:
-            result = convolution.convolve_crt(f, g, moduli)
+        moduli = [_resolve_modulus_arg(m, reg) for m in args.modulus]
+        source = "explicit moduli"
+    primes = [getattr(m, "prime", m) for m in moduli]
+    capacity = math.prod(primes)
+    _diag(
+        f"{source} {primes}; bound audit: {'2*' if signed else ''}N*Bf*Bg = {need} "
+        f"{'<' if need < capacity else '>='} capacity {capacity}"
+    )
+    result = convolution.convolve_crt(f, g, moduli)
 
     stream, close = _open_out(args.out)
     try:
@@ -473,6 +446,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except BoundExceeded as exc:
         _diag(f"error: {exc}")
+        if exc.need is not None:
+            _diag(f"bound: need {exc.need}, capacity {exc.capacity}")
         return EXIT_BOUND
     except InvalidLength as exc:
         _diag(f"error: {exc}")

@@ -10,7 +10,7 @@ Chinese Remainder Theorem.
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from . import modular
 from .errors import (
     BadInput,
     BoundExceeded,
-    InvalidLength,
     LengthMismatch,
     ModuliNotCoprime,
     NotInvertible,
@@ -31,11 +30,6 @@ from .transform import (
     inverse_fast,
 )
 
-# Python >= 3.11 caps int<->str conversion length by default; big-digit
-# operands here legitimately run to thousands of digits.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
-
 _NP_EXACT_LIMIT = 2**62
 
 
@@ -44,8 +38,28 @@ def _plan(length: int, modulus, kernel: str):
     return build_plan(length, modulus, kernel)
 
 
-def _magnitude_bound(seq) -> int:
-    return max((abs(v) for v in seq), default=0)
+def _equal_length(f, g) -> tuple[list, list]:
+    f, g = list(f), list(g)
+    if len(f) != len(g):
+        raise LengthMismatch(f"lengths differ: {len(f)} vs {len(g)}")
+    return f, g
+
+
+def _scan(seq) -> tuple[int, bool]:
+    """Magnitude bound of ``seq`` and whether any entry is negative."""
+    lo, hi = min(seq, default=0), max(seq, default=0)
+    return max(hi, -lo), lo < 0
+
+
+def recovery_bound(n: int, bf: int, bg: int, signed: bool) -> int:
+    """The exactness rule: the modulus, or product of moduli, must exceed this.
+
+    A length-n cyclic convolution of entries bounded by bf and bg in
+    magnitude has coefficients of magnitude at most n*bf*bg.  They are
+    recovered exactly from residues when N*Bf*Bg < m for nonnegative
+    data, or 2*N*Bf*Bg < m for signed data lifted to (-m/2, m/2].
+    """
+    return (2 if signed else 1) * n * bf * bg
 
 
 def convolve_direct(f, g) -> list[int]:
@@ -56,13 +70,11 @@ def convolve_direct(f, g) -> list[int]:
     convolution when the coefficient bound provably fits int64, else a
     plain arbitrary-precision loop.
     """
-    f, g = list(f), list(g)
-    if len(f) != len(g):
-        raise LengthMismatch(f"lengths differ: {len(f)} vs {len(g)}")
+    f, g = _equal_length(f, g)
     n = len(f)
     if n == 0:
         return []
-    bf, bg = _magnitude_bound(f), _magnitude_bound(g)
+    (bf, _), (bg, _) = _scan(f), _scan(g)
     if max(bf, bg, n * bf * bg) < _NP_EXACT_LIMIT:
         lin = np.convolve(
             np.array(f, dtype=np.int64), np.array(g, dtype=np.int64)
@@ -79,9 +91,8 @@ def convolve_direct(f, g) -> list[int]:
     return out
 
 
-def _signed_lift(value: int, modulus: int) -> int:
-    # representative in (-modulus/2, modulus/2]
-    return value - modulus if 2 * value > modulus else value
+def _forward(values, plan):
+    return forward_fast(ResidueSequence.reduce(values, plan.modulus), plan)
 
 
 def _pointwise_product(F: ResidueSequence, G: ResidueSequence) -> ResidueSequence:
@@ -89,92 +100,78 @@ def _pointwise_product(F: ResidueSequence, G: ResidueSequence) -> ResidueSequenc
     return ResidueSequence(tuple(a * b % m for a, b in zip(F, G)), m)
 
 
+def _crt_weights(moduli: list[int]) -> tuple[int, list[int]]:
+    """Product of the moduli and weights w_i == 1 mod m_i, 0 mod every other m_j."""
+    product = prod(moduli)
+    weights = []
+    for mi in moduli:
+        rest = product // mi
+        shared = gcd(mi, rest)
+        if shared != 1:
+            raise ModuliNotCoprime(f"modulus {mi} shares factor {shared} with another modulus")
+        weights.append(rest * modular.mod_inverse(rest % mi, mi))
+    return product, weights
+
+
+def _convolve(f, g, moduli, kernel: str) -> list[int]:
+    """The one pipeline behind convolve_ntt and convolve_crt.
+
+    Length check, magnitude/sign scan and recovery bound against the
+    product of the moduli; then per prime reduce -> forward -> pointwise
+    product -> inverse; then the CRT combine (skipped for one prime) and
+    a symmetric lift when an input is negative.
+    """
+    if not moduli:
+        raise BadInput("convolve_crt needs at least one modulus")
+    f, g = _equal_length(f, g)
+    n = len(f)
+    plans = [_plan(n, mod, kernel) for mod in moduli]
+    product, weights = _crt_weights([plan.modulus for plan in plans])
+    (bf, f_negative), (bg, g_negative) = _scan(f), _scan(g)
+    signed = f_negative or g_negative
+    need = recovery_bound(n, bf, bg, signed)
+    if need >= product:
+        raise BoundExceeded(
+            f"recovery bound {need} >= capacity {product} of moduli "
+            f"{[plan.modulus for plan in plans]}; add moduli or lower the data bound",
+            need=need,
+            capacity=product,
+        )
+    per_prime = [
+        inverse_fast(_pointwise_product(_forward(f, plan), _forward(g, plan)), plan).values
+        for plan in plans
+    ]
+    if len(plans) == 1:
+        values = per_prime[0]
+    else:
+        values = [sum(r * w for r, w in zip(res, weights)) % product for res in zip(*per_prime)]
+    if signed:  # representatives in (-product/2, product/2]
+        return [v - product if 2 * v > product else v for v in values]
+    return list(values)
+
+
 def convolve_ntt(f, g, modulus, kernel: str = "mul") -> list[int]:
     """Exact cyclic convolution through a single-prime transform.
 
-    Equals convolve_direct (as plain integers, not merely mod m)
-    provided the recovery bound holds: N*Bf*Bg < m for nonnegative
-    input, 2*N*Bf*Bg < m when either input has negative entries (the
-    result is then lifted symmetrically).  Raises BoundExceeded
-    otherwise; use convolve_crt to spread over more primes.
+    The one-prime case of convolve_crt: equals convolve_direct (as plain
+    integers, not merely mod m) when m exceeds recovery_bound, i.e.
+    N*Bf*Bg < m for nonnegative input and 2*N*Bf*Bg < m when either
+    input has negative entries (the result is then lifted
+    symmetrically).  Raises BoundExceeded otherwise.
     """
-    f, g = list(f), list(g)
-    if len(f) != len(g):
-        raise LengthMismatch(f"lengths differ: {len(f)} vs {len(g)}")
-    n = len(f)
-    plan = _plan(n, modulus, kernel)
-    m = plan.modulus
-    bf, bg = _magnitude_bound(f), _magnitude_bound(g)
-    signed = any(v < 0 for v in f) or any(v < 0 for v in g)
-    need = (2 if signed else 1) * n * bf * bg
-    if need >= m:
-        raise BoundExceeded(
-            f"recovery bound {need} >= modulus {m}; coefficients would alias "
-            "(use convolve_crt with more primes)"
-        )
-    F = forward_fast(ResidueSequence.reduce(f, m), plan)
-    G = forward_fast(ResidueSequence.reduce(g, m), plan)
-    h = inverse_fast(_pointwise_product(F, G), plan)
-    if signed:
-        return [_signed_lift(v, m) for v in h]
-    return list(h.values)
-
-
-class _CrtBasis:
-    """Precomputed mixed-radix coefficients for repeated combination."""
-
-    def __init__(self, moduli: list[int]):
-        for i, mi in enumerate(moduli):
-            for mj in moduli[i + 1 :]:
-                shared = gcd(mi, mj)
-                if shared != 1:
-                    raise ModuliNotCoprime(
-                        f"moduli {mi} and {mj} share factor {shared}"
-                    )
-        self.product = 1
-        for mi in moduli:
-            self.product *= mi
-        self.terms = []
-        for mi in moduli:
-            rest = self.product // mi
-            self.terms.append(rest * modular.mod_inverse(rest % mi, mi))
-
-    def combine(self, residues) -> int:
-        return sum(r * t for r, t in zip(residues, self.terms)) % self.product
+    return _convolve(f, g, [modulus], kernel)
 
 
 def convolve_crt(f, g, moduli) -> list[int]:
     """Exact cyclic convolution reconstructed from several prime moduli.
 
-    Requires prod(m_i) > 2*N*Bf*Bg; each output coefficient is combined
-    from its per-prime residues and lifted to (-prod/2, prod/2].
+    The rule of convolve_ntt with the product of the moduli in place of
+    m: prod(m_i) > N*Bf*Bg for nonnegative input, > 2*N*Bf*Bg when
+    either input has negative entries.  Each output coefficient is
+    combined from its per-prime residues, then lifted to
+    (-prod/2, prod/2] when an input is negative.
     """
-    moduli = list(moduli)
-    if not moduli:
-        raise BadInput("convolve_crt needs at least one modulus")
-    f, g = list(f), list(g)
-    if len(f) != len(g):
-        raise LengthMismatch(f"lengths differ: {len(f)} vs {len(g)}")
-    n = len(f)
-    primes = [mod.prime if isinstance(mod, RaderModulus) else int(mod) for mod in moduli]
-    basis = _CrtBasis(primes)
-    bound = 2 * n * _magnitude_bound(f) * _magnitude_bound(g)
-    if basis.product <= bound:
-        raise BoundExceeded(
-            f"product of moduli {basis.product} <= 2*N*Bf*Bg = {bound}; "
-            "add moduli or lower the data bound"
-        )
-    per_prime = []
-    for mod in moduli:
-        plan = _plan(n, mod, "mul")
-        m = plan.modulus
-        F = forward_fast(ResidueSequence.reduce(f, m), plan)
-        G = forward_fast(ResidueSequence.reduce(g, m), plan)
-        per_prime.append(inverse_fast(_pointwise_product(F, G), plan).values)
-    return [
-        _signed_lift(basis.combine(res_j), basis.product)
-        for res_j in zip(*per_prime)
-    ]
+    return _convolve(f, g, list(moduli), "mul")
 
 
 def deconvolve(h, g, modulus, kernel: str = "mul") -> list[int]:
@@ -185,13 +182,10 @@ def deconvolve(h, g, modulus, kernel: str = "mul") -> list[int]:
     that digital frequency, so division is impossible there).
     Output is the canonical residue sequence of f.
     """
-    h, g = list(h), list(g)
-    if len(h) != len(g):
-        raise LengthMismatch(f"lengths differ: {len(h)} vs {len(g)}")
+    h, g = _equal_length(h, g)
     plan = _plan(len(h), modulus, kernel)
     m = plan.modulus
-    H = forward_fast(ResidueSequence.reduce(h, m), plan)
-    G = forward_fast(ResidueSequence.reduce(g, m), plan)
+    H, G = _forward(h, plan), _forward(g, plan)
     quotient = []
     for u, (hu, gu) in enumerate(zip(H, G)):
         if gu == 0:
@@ -207,6 +201,33 @@ def deconvolve(h, g, modulus, kernel: str = "mul") -> list[int]:
 # -- big-integer multiplication ----------------------------------------
 
 DEFAULT_BASE = 256
+
+# CPython caps int<->str conversion at sys.get_int_max_str_digits()
+# digits (0: no cap).  Decimal I/O converts longer operands in pieces
+# under the cap rather than raising it for the whole process.
+
+
+def _str_digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _parse_digits(text: str, limit: int) -> int:
+    """int(text) for a string of decimal digits, in pieces of at most ``limit``."""
+    if not limit or len(text) <= limit:
+        return int(text)
+    k = len(text) // 2
+    return _parse_digits(text[:-k], limit) * 10**k + _parse_digits(text[-k:], limit)
+
+
+def _format_digits(value: int, limit: int) -> str:
+    """str(value) for value >= 0, in pieces of at most ``limit`` digits."""
+    # never below the true digit count, and at most one above it
+    digits = int(value.bit_length() * 0.30103) + 1
+    if not limit or digits <= limit:
+        return str(value)
+    k = digits // 2
+    high, low = divmod(value, 10**k)
+    return _format_digits(high, limit) + _format_digits(low, limit).zfill(k)
 
 
 @dataclass(frozen=True)
@@ -263,10 +284,11 @@ class BigDigits:
             text = text[1:]
         if not text.isdigit():
             raise BadInput(f"not a decimal integer: {text!r}")
-        return cls.from_int(sign * int(text), base)
+        return cls.from_int(sign * _parse_digits(text, _str_digit_limit()), base)
 
     def to_decimal(self) -> str:
-        return str(self.to_int())
+        text = _format_digits(abs(self.to_int()), _str_digit_limit())
+        return "-" + text if self.negative else text
 
 
 def _carry_propagate(raw, base: int) -> tuple[int, ...]:
@@ -331,7 +353,9 @@ def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
             return chosen
     raise BoundExceeded(
         f"registry primes admitting length {length} reach only {product} "
-        f"<= required {bound}; use a smaller digit base or supply more moduli"
+        f"<= required {bound}; use a smaller digit base or supply more moduli",
+        need=bound,
+        capacity=product,
     )
 
 
@@ -349,8 +373,8 @@ def bigint_multiply(a: BigDigits, b: BigDigits, moduli=None, registry=None) -> B
         return BigDigits((0,), a.base)
     n = modular.next_power_of_two(len(a.digits) + len(b.digits))
     if moduli is None:
-        worst = n * (a.base - 1) ** 2
-        moduli = select_moduli(n, 2 * worst, registry)
+        need = recovery_bound(n, a.base - 1, a.base - 1, signed=False)
+        moduli = select_moduli(n, need, registry)
     fa = list(a.digits) + [0] * (n - len(a.digits))
     fb = list(b.digits) + [0] * (n - len(b.digits))
     raw = convolve_crt(fa, fb, moduli)

@@ -58,7 +58,16 @@ class ModulusMismatch(NttError):
 
 
 class BoundExceeded(NttError):
-    """Exact-recovery bound violated; result would only be correct mod m."""
+    """Exact-recovery bound violated; result would only be correct mod m.
+
+    ``need`` is the recovery bound the data requires and ``capacity`` the
+    modulus, or product of moduli, that fell short (None when unknown).
+    """
+
+    def __init__(self, message: str, need: int | None = None, capacity: int | None = None):
+        super().__init__(message)
+        self.need = need
+        self.capacity = capacity
 
 
 class HeadroomViolation(NttError):

@@ -208,36 +208,22 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     step = order // length
     root = pow(2, step, m)
 
-    if length <= 1 << 14:
-        twiddles = [1] * length
-        w = 1
-        for j in range(1, length):
-            w = w * root % m
-            if w == 1:
-                raise VerificationFailed(
-                    f"root 2^{step} has order {j} < {length} mod {m}", clause="order"
-                )
-            twiddles[j] = w
-        closes = w * root % m if length > 1 else 1
-    else:
-        arr = np.ones(length, dtype=np.int64)
-        arr[1] = root
-        filled = 2
-        while filled < length:
-            chunk = min(filled, length - filled)
-            # arr[filled + i] = arr[i] * root**filled; multiplier < m so
-            # products stay under 2**62
-            mult = int(arr[filled - 1]) * root % m
-            arr[filled : filled + chunk] = arr[:chunk] * mult % m
-            filled += chunk
-        if np.any(arr[1:] == 1):
-            j = int(np.nonzero(arr[1:] == 1)[0][0]) + 1
-            raise VerificationFailed(
-                f"root 2^{step} has order {j} < {length} mod {m}", clause="order"
-            )
-        twiddles = arr.tolist()
-        closes = int(arr[length - 1]) * root % m
-    if closes != 1:
+    arr = np.ones(length, dtype=np.int64)
+    filled = 1
+    while filled < length:
+        chunk = min(filled, length - filled)
+        # arr[filled + i] = arr[i] * root**filled; multiplier < m so
+        # products stay under 2**62
+        mult = int(arr[filled - 1]) * root % m
+        arr[filled : filled + chunk] = arr[:chunk] * mult % m
+        filled += chunk
+    if np.any(arr[1:] == 1):
+        j = int(np.nonzero(arr[1:] == 1)[0][0]) + 1
+        raise VerificationFailed(
+            f"root 2^{step} has order {j} < {length} mod {m}", clause="order"
+        )
+    twiddles = arr.tolist()
+    if twiddles[-1] * root % m != 1:
         raise VerificationFailed(
             f"root 2^{step} does not return to 1 after {length} steps mod {m}",
             clause="order",
