@@ -7,10 +7,11 @@ prime is too small, work is spread over several and recombined by the
 Chinese Remainder Theorem.
 """
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, log2, prod
 
 import numpy as np
 
@@ -24,9 +25,11 @@ from .errors import (
 )
 from .registry import RaderModulus, builtin_rader_primes
 from .transform import (
+    INT64_LIMIT,
     ResidueSequence,
     build_plan,
     forward_fast,
+    int_array,
     inverse_fast,
 )
 
@@ -38,16 +41,16 @@ def _plan(length: int, modulus, kernel: str):
     return build_plan(length, modulus, kernel)
 
 
-def _equal_length(f, g) -> tuple[list, list]:
-    f, g = list(f), list(g)
+def _equal_length(f, g) -> tuple[np.ndarray, np.ndarray]:
+    f, g = int_array(f), int_array(g)
     if len(f) != len(g):
         raise LengthMismatch(f"lengths differ: {len(f)} vs {len(g)}")
     return f, g
 
 
-def _scan(seq) -> tuple[int, bool]:
-    """Magnitude bound of ``seq`` and whether any entry is negative."""
-    lo, hi = min(seq, default=0), max(seq, default=0)
+def _scan(arr: np.ndarray) -> tuple[int, bool]:
+    """Magnitude bound of ``arr`` and whether any entry is negative."""
+    lo, hi = (int(arr.min()), int(arr.max())) if arr.size else (0, 0)
     return max(hi, -lo), lo < 0
 
 
@@ -76,12 +79,11 @@ def convolve_direct(f, g) -> list[int]:
         return []
     (bf, _), (bg, _) = _scan(f), _scan(g)
     if max(bf, bg, n * bf * bg) < _NP_EXACT_LIMIT:
-        lin = np.convolve(
-            np.array(f, dtype=np.int64), np.array(g, dtype=np.int64)
-        )
+        lin = np.convolve(f, g)
         out = lin[:n].copy()
         out[: n - 1] += lin[n:]
         return out.tolist()
+    f, g = f.tolist(), g.tolist()
     out = []
     for j in range(n):
         acc = 0
@@ -91,26 +93,39 @@ def convolve_direct(f, g) -> list[int]:
     return out
 
 
-def _forward(values, plan):
-    return forward_fast(ResidueSequence.reduce(values, plan.modulus), plan)
+def _forward(values, plan) -> np.ndarray:
+    return np.asarray(forward_fast(ResidueSequence.reduce(values, plan.modulus), plan))
 
 
-def _pointwise_product(F: ResidueSequence, G: ResidueSequence) -> ResidueSequence:
-    m = F.modulus
-    return ResidueSequence(tuple(a * b % m for a, b in zip(F, G)), m)
-
-
-def _crt_weights(moduli: list[int]) -> tuple[int, list[int]]:
-    """Product of the moduli and weights w_i == 1 mod m_i, 0 mod every other m_j."""
+def _crt_product(moduli: list[int]) -> int:
+    """Product of the moduli, after checking they are pairwise coprime."""
     product = prod(moduli)
-    weights = []
     for mi in moduli:
-        rest = product // mi
-        shared = gcd(mi, rest)
+        shared = gcd(mi, product // mi)
         if shared != 1:
             raise ModuliNotCoprime(f"modulus {mi} shares factor {shared} with another modulus")
-        weights.append(rest * modular.mod_inverse(rest % mi, mi))
-    return product, weights
+    return product
+
+
+def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
+    """The unique x in [0, prod(moduli)) with x == residues[i] mod moduli[i].
+
+    Garner's mixed-radix digits a_i < m_i, then x = a_0 + m_0*(a_1 + m_1*(...)).
+    Digit arithmetic stays below m_i * max(m_j) < 2**62; x itself is
+    int64 when the product of the moduli is below 2**63, Python ints
+    (object dtype) otherwise.
+    """
+    dtype = np.int64 if prod(moduli) < INT64_LIMIT else object
+    digits = []
+    for r, mi in zip(residues, moduli):
+        t = r.astype(dtype)
+        for a, mj in zip(digits, moduli):
+            t = (t - a) % mi * modular.mod_inverse(mj, mi) % mi
+        digits.append(t)
+    x = digits[-1]
+    for a, mj in zip(digits[-2::-1], moduli[-2::-1]):
+        x = x * mj + a
+    return x
 
 
 def _convolve(f, g, moduli, kernel: str) -> list[int]:
@@ -119,35 +134,36 @@ def _convolve(f, g, moduli, kernel: str) -> list[int]:
     Length check, magnitude/sign scan and recovery bound against the
     product of the moduli; then per prime reduce -> forward -> pointwise
     product -> inverse; then the CRT combine (skipped for one prime) and
-    a symmetric lift when an input is negative.
+    a symmetric lift when an input is negative.  Data stays in int64
+    arrays throughout, or object arrays of Python ints where a value
+    does not fit int64.
     """
     if not moduli:
         raise BadInput("convolve_crt needs at least one modulus")
     f, g = _equal_length(f, g)
     n = len(f)
     plans = [_plan(n, mod, kernel) for mod in moduli]
-    product, weights = _crt_weights([plan.modulus for plan in plans])
+    primes = [plan.modulus for plan in plans]
+    product = _crt_product(primes)
     (bf, f_negative), (bg, g_negative) = _scan(f), _scan(g)
     signed = f_negative or g_negative
     need = recovery_bound(n, bf, bg, signed)
     if need >= product:
         raise BoundExceeded(
             f"recovery bound {need} >= capacity {product} of moduli "
-            f"{[plan.modulus for plan in plans]}; add moduli or lower the data bound",
+            f"{primes}; add moduli or lower the data bound",
             need=need,
             capacity=product,
         )
-    per_prime = [
-        inverse_fast(_pointwise_product(_forward(f, plan), _forward(g, plan)), plan).values
-        for plan in plans
-    ]
-    if len(plans) == 1:
-        values = per_prime[0]
-    else:
-        values = [sum(r * w for r, w in zip(res, weights)) % product for res in zip(*per_prime)]
+    per_prime = []
+    for plan in plans:
+        m = plan.modulus
+        spectrum = _forward(f, plan) * _forward(g, plan) % m
+        per_prime.append(np.asarray(inverse_fast(ResidueSequence(spectrum, m), plan)))
+    values = per_prime[0] if len(plans) == 1 else _garner(per_prime, primes)
     if signed:  # representatives in (-product/2, product/2]
-        return [v - product if 2 * v > product else v for v in values]
-    return list(values)
+        values = np.where(values > product // 2, values - product, values)
+    return values.tolist()
 
 
 def convolve_ntt(f, g, modulus, kernel: str = "mul") -> list[int]:
@@ -186,16 +202,32 @@ def deconvolve(h, g, modulus, kernel: str = "mul") -> list[int]:
     plan = _plan(len(h), modulus, kernel)
     m = plan.modulus
     H, G = _forward(h, plan), _forward(g, plan)
-    quotient = []
-    for u, (hu, gu) in enumerate(zip(H, G)):
-        if gu == 0:
-            raise NotInvertible(
-                f"filter spectrum vanishes at bin {u}; cannot deconvolve",
-                bin_index=u,
-            )
-        quotient.append(hu * pow(gu, m - 2, m) % m)
-    out = inverse_fast(ResidueSequence(tuple(quotient), m), plan)
-    return list(out.values)
+    zeros = np.flatnonzero(G == 0)
+    if zeros.size:
+        u = int(zeros[0])
+        raise NotInvertible(
+            f"filter spectrum vanishes at bin {u}; cannot deconvolve",
+            bin_index=u,
+        )
+    out = inverse_fast(ResidueSequence(H * _inverse_mod(G, m) % m, m), plan)
+    return np.asarray(out).tolist()
+
+
+def _inverse_mod(x: np.ndarray, m: int) -> np.ndarray:
+    """Elementwise x**(m-2) mod prime m < 2**31 by square-and-multiply.
+
+    The inverse of every nonzero residue (Fermat); products of two
+    residues stay below 2**62.
+    """
+    result = np.ones_like(x)
+    base = x.copy()
+    e = m - 2
+    while e:
+        if e & 1:
+            result = result * base % m
+        base = base * base % m
+        e >>= 1
+    return result
 
 
 # -- big-integer multiplication ----------------------------------------
@@ -230,6 +262,37 @@ def _format_digits(value: int, limit: int) -> str:
     return _format_digits(high, limit) + _format_digits(low, limit).zfill(k)
 
 
+# Digit vectors up to this many digits convert one digit at a time; longer
+# ones split in halves on base**k, so the big-int divmod and multiply work
+# on balanced operands (subquadratic, like _format_digits).
+_SPLIT_DIGITS = 64
+
+
+def _int_to_digits(value: int, base: int, width: int) -> list[int]:
+    """Little-endian digits of value >= 0, zero-padded to at least ``width``."""
+    count = int(value.bit_length() / log2(base)) + 1
+    if count <= _SPLIT_DIGITS:
+        digits = []
+        while value:
+            value, d = divmod(value, base)
+            digits.append(d)
+        return digits + [0] * (width - len(digits))
+    k = count // 2
+    high, low = divmod(value, base**k)
+    return _int_to_digits(low, base, k) + _int_to_digits(high, base, width - k)
+
+
+def _digits_to_int(digits, base: int) -> int:
+    """Value of the little-endian digit sequence ``digits``."""
+    if len(digits) <= _SPLIT_DIGITS:
+        value = 0
+        for d in reversed(digits):
+            value = value * base + d
+        return value
+    k = len(digits) // 2
+    return _digits_to_int(digits[:k], base) + _digits_to_int(digits[k:], base) * base**k
+
+
 @dataclass(frozen=True)
 class BigDigits:
     """Arbitrary-precision integer as little-endian digits in [0, base).
@@ -259,20 +322,14 @@ class BigDigits:
 
     @classmethod
     def from_int(cls, value: int, base: int = DEFAULT_BASE) -> "BigDigits":
-        negative = value < 0
-        value = abs(value)
-        digits = []
-        while True:
-            value, d = divmod(value, base)
-            digits.append(d)
-            if value == 0:
-                break
-        return cls(tuple(digits), base, negative and digits != [0])
+        if base < 2:
+            raise BadInput(f"digit base must be >= 2, got {base}")
+        value = operator.index(value)
+        digits = _int_to_digits(abs(value), base, 1)
+        return cls(tuple(digits), base, value < 0)
 
     def to_int(self) -> int:
-        value = 0
-        for d in reversed(self.digits):
-            value = value * self.base + d
+        value = _digits_to_int(self.digits, self.base)
         return -value if self.negative else value
 
     @classmethod
@@ -282,7 +339,7 @@ class BigDigits:
         if text.startswith(("+", "-")):
             sign = -1 if text[0] == "-" else 1
             text = text[1:]
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise BadInput(f"not a decimal integer: {text!r}")
         return cls.from_int(sign * _parse_digits(text, _str_digit_limit()), base)
 

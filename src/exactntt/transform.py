@@ -6,16 +6,23 @@ decimation-in-time fast path for power-of-two lengths.  Each path runs
 under one of two multiplication kernels selected per plan:
 
   "mul"    products computed as ordinary multiplication; vectorized with
-           int64 numpy arrays.  Exact for moduli below 2**31 because a
-           residue product stays under 2**62 and sums are reduced before
-           they can reach 2**63.
+           int64 numpy arrays for moduli below 2**31.  The fast path
+           leaves butterfly outputs unreduced (lo + hi and lo - hi + m,
+           hi = x*w mod m), so each stage costs one modulo and the
+           bound on the entries grows by m per stage.  The twiddle
+           product stays exact while bound*(m-1) < 2**63; build_plan
+           computes the stages before which that would fail
+           (reduction_stages), asserts the bound at every stage, and the
+           fast path reduces the array there and once at the end.  The
+           direct path reduces every product and sums at most N of them
+           unreduced only when N*(m-1)**2 < 2**63.
   "shift"  every twiddle product goes through shift_mul, a bit-serial
            double-and-subtract loop: the hardware-style kernel that uses
            no general multiplication.  Slow, exact, and required to be
            bit-identical to "mul".
 """
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -35,6 +42,15 @@ from .registry import MAX_MODULUS, RaderModulus
 DENSE_LIMIT = 4096
 
 KERNELS = ("mul", "shift")
+
+# Every value held in an int64 array must stay below this.
+INT64_LIMIT = 2**63
+
+# numpy pays a start-up cost per row of a 2-D operand, which dominates
+# when a stage has many short blocks; such stages go column by column.
+# Columns measured faster while half**2 * _COLUMN_CROSSOVER < N
+# (half = butterflies per block; N = 2**10 .. 2**16, 2-vCPU Xeon).
+_COLUMN_CROSSOVER = 512
 
 
 def shift_mul(x: int, alpha: int, m: int) -> int:
@@ -56,28 +72,98 @@ def shift_mul(x: int, alpha: int, m: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
+def int_array(values) -> np.ndarray:
+    """``values`` as a 1-D int64 array, or as an object array of Python
+    ints when some entry does not fit int64 (exact at any size)."""
+    if isinstance(values, np.ndarray) and np.can_cast(values.dtype, np.int64):
+        return values.astype(np.int64, copy=False)
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], dtype=object)
+
+
+def _residue_dtype(modulus: int):
+    # residues, and int64 % modulus, fit int64 only below 2**63
+    return np.int64 if modulus < INT64_LIMIT else object
+
+
 class ResidueSequence:
-    """Fixed-length sequence of canonical residues sharing one modulus."""
+    """Fixed-length sequence of canonical residues sharing one modulus.
 
-    values: tuple[int, ...]
-    modulus: int
+    Backed by a read-only int64 array, which ``np.asarray(seq)`` returns
+    without a copy (an object array of Python ints when the modulus is
+    2**63 or more); ``values`` holds the same residues as a tuple of
+    ints, built on first use.  Instances are immutable and hashable; two
+    are equal when their moduli and values are.
+    """
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ModulusTooSmall(f"modulus must be >= 2, got {self.modulus}")
-        if self.values and not (0 <= min(self.values) and max(self.values) < self.modulus):
+    __slots__ = ("_array", "modulus", "_values")
+
+    def __init__(self, values, modulus: int):
+        if modulus < 2:
+            raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
+        try:
+            arr = np.array(values, dtype=_residue_dtype(modulus))
+        except OverflowError:
+            arr = None
+        if arr is None or arr.ndim != 1 or (
+            arr.size and not (0 <= int(arr.min()) and int(arr.max()) < modulus)
+        ):
             raise BadInput("sequence values must be canonical residues in [0, m)")
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "_values", None)
 
     @classmethod
     def reduce(cls, values, modulus: int) -> "ResidueSequence":
-        """Build from arbitrary signed integers, reducing each mod m."""
+        """Build from arbitrary signed integers, reducing each mod m.
+
+        int64 input is reduced as an array; entries beyond int64 are
+        reduced exactly as Python ints.
+        """
         if modulus < 2:
             raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
-        return cls(tuple(v % modulus for v in values), modulus)
+        arr = int_array(values)
+        if _residue_dtype(modulus) is object:
+            arr = arr.astype(object)
+        return cls(arr % modulus, modulus)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self._array.tolist()))
+        return self._values
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is not None and dtype != self._array.dtype:
+            return self._array.astype(dtype)
+        return self._array.copy() if copy else self._array
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.values, self.modulus))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.modulus == other.modulus and np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.modulus))
+
+    def __repr__(self) -> str:
+        return f"ResidueSequence(values={self.values!r}, modulus={self.modulus!r})"
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._array)
 
     def __iter__(self):
         return iter(self.values)
@@ -92,9 +178,11 @@ class TransformPlan:
 
     The working root is 2**root_step where root_step = order // length;
     twiddles[j] = 2**(root_step * j) mod modulus.  n_inverse undoes the
-    length factor in the inverse transform.  Plans are immutable and safe
-    to share across threads; the private cache only memoizes derived
-    arrays whose recomputation is idempotent.
+    length factor in the inverse transform.  reduction_stages lists the
+    fast-path stages (0 for the first, of size 2) before which the lazy
+    butterflies must reduce the array to [0, m) to keep int64 exact.
+    Plans are immutable and safe to share across threads; the private
+    cache only memoizes derived arrays whose recomputation is idempotent.
     """
 
     length: int
@@ -105,6 +193,7 @@ class TransformPlan:
     twiddles: tuple[int, ...]
     inverse_twiddles: tuple[int, ...]
     n_inverse: int
+    reduction_stages: tuple[int, ...]
     source: RaderModulus | None = field(default=None, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -187,6 +276,27 @@ def _resolve_modulus(modulus) -> tuple[int, int, RaderModulus | None]:
     return m, order, source
 
 
+def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
+    """Fast-path stages that must start from residues reduced to [0, m).
+
+    A lazy butterfly stage whose entries lie in [0, bound) multiplies the
+    upper half by twiddles below m, which is exact while
+    bound*(m-1) < 2**63, and leaves entries in [0, bound + m).  The
+    schedule reduces before the first stage at which the product would
+    overflow, and the assertion checks the invariant at every stage.
+    """
+    stages = length.bit_length() - 1 if modular.is_power_of_two(length) else 0
+    schedule = []
+    bound = m
+    for stage in range(stages):
+        if bound * (m - 1) >= INT64_LIMIT:
+            schedule.append(stage)
+            bound = m
+        assert bound * (m - 1) < INT64_LIMIT, f"stage {stage} overflows int64 mod {m}"
+        bound += m
+    return tuple(schedule)
+
+
 def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     """Construct a verified transform plan.
 
@@ -241,6 +351,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         twiddles=tuple(twiddles),
         inverse_twiddles=tuple(inverse_twiddles),
         n_inverse=n_inverse,
+        reduction_stages=_reduction_schedule(length, m),
         source=source,
     )
 
@@ -255,9 +366,9 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
 # -- direct path -------------------------------------------------------
 
 
-def _direct_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[int]:
+def _direct_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> np.ndarray:
     n, m = plan.length, plan.modulus
-    vec = np.fromiter(x.values, dtype=np.int64, count=n)
+    vec = np.asarray(x)
     if n <= DENSE_LIMIT:
         mat = plan._dense(inverse)
         if plan._matmul_safe():
@@ -274,7 +385,7 @@ def _direct_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[
             out[u] = ((tw[(u * t) % n] * vec) % m).sum() % m
     if inverse:
         out = (out * plan.n_inverse) % m
-    return out.tolist()
+    return out
 
 
 def _direct_shift(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[int]:
@@ -308,7 +419,7 @@ def forward_direct(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
         out = _direct_shift(x, plan, inverse=False)
     else:
         out = _direct_mul(x, plan, inverse=False)
-    return ResidueSequence(tuple(out), plan.modulus)
+    return ResidueSequence(out, plan.modulus)
 
 
 def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
@@ -318,32 +429,43 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
         out = _direct_shift(X, plan, inverse=True)
     else:
         out = _direct_mul(X, plan, inverse=True)
-    return ResidueSequence(tuple(out), plan.modulus)
+    return ResidueSequence(out, plan.modulus)
 
 
 # -- fast path ---------------------------------------------------------
 
 
-def _fast_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[int]:
+def _fast_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> np.ndarray:
     n, m = plan.length, plan.modulus
-    a = np.fromiter(x.values, dtype=np.int64, count=n)[plan._bitrev()]
+    a = np.asarray(x)[plan._bitrev()]
     tw = plan._itw_array() if inverse else plan._tw_array()
-    size = 2
+    size, stage = 2, 0
     while size <= n:
+        if stage in plan.reduction_stages:
+            a %= m
         half = size // 2
         step = n // size
         w = tw[0 : half * step : step]
         blocks = a.reshape(n // size, size)
-        hi = (blocks[:, half:] * w) % m
-        lo = blocks[:, :half]
-        u = lo + hi
-        v = lo - hi
-        blocks[:, :half] = np.where(u >= m, u - m, u)
-        blocks[:, half:] = np.where(v < 0, v + m, v)
+        if half * half * _COLUMN_CROSSOVER < n:
+            spans = [(j, j + 1) for j in range(half)]
+        else:
+            spans = [(0, half)]
+        for j0, j1 in spans:
+            lo, up = blocks[:, j0:j1], blocks[:, half + j0 : half + j1]
+            # lazy butterfly: lo + hi and lo - hi + m, hi = up*w mod m
+            hi = up * w[j0:j1]
+            hi %= m
+            np.subtract(lo, hi, out=up)
+            up += m
+            lo += hi
         size <<= 1
+        stage += 1
+    a %= m
     if inverse:
-        a = (a * plan.n_inverse) % m
-    return a.tolist()
+        a *= plan.n_inverse
+        a %= m
+    return a
 
 
 def _fast_shift(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[int]:
@@ -387,7 +509,7 @@ def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
         out = _fast_shift(x, plan, inverse=False)
     else:
         out = _fast_mul(x, plan, inverse=False)
-    return ResidueSequence(tuple(out), plan.modulus)
+    return ResidueSequence(out, plan.modulus)
 
 
 def inverse_fast(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
@@ -399,4 +521,4 @@ def inverse_fast(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
         out = _fast_shift(X, plan, inverse=True)
     else:
         out = _fast_mul(X, plan, inverse=True)
-    return ResidueSequence(tuple(out), plan.modulus)
+    return ResidueSequence(out, plan.modulus)
