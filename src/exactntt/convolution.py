@@ -234,6 +234,12 @@ def _inverse_mod(x: np.ndarray, m: int) -> np.ndarray:
 
 DEFAULT_BASE = 256
 
+# In base 256 a digit vector is the integer's little-endian byte string,
+# so splitting, joining and carrying go through int.to_bytes and
+# int.from_bytes; other bases use the divide-and-conquer code and the
+# carry loop below.
+_BYTE_BASE = 256
+
 # CPython caps int<->str conversion at sys.get_int_max_str_digits()
 # digits (0: no cap).  Decimal I/O converts longer operands in pieces
 # under the cap rather than raising it for the whole process.
@@ -293,6 +299,11 @@ def _digits_to_int(digits, base: int) -> int:
     return _digits_to_int(digits[:k], base) + _digits_to_int(digits[k:], base) * base**k
 
 
+def _int_to_bytes(value: int) -> bytes:
+    """Base-256 digits of value >= 0: its little-endian bytes, at least one."""
+    return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "little")
+
+
 @dataclass(frozen=True)
 class BigDigits:
     """Arbitrary-precision integer as little-endian digits in [0, base).
@@ -310,7 +321,7 @@ class BigDigits:
             raise BadInput(f"digit base must be >= 2, got {self.base}")
         if not self.digits:
             raise BadInput("digit vector must not be empty (zero is (0,))")
-        if any(d < 0 or d >= self.base for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) >= self.base:
             raise BadInput(f"digits must lie in [0, {self.base})")
         if len(self.digits) > 1 and self.digits[-1] == 0:
             raise BadInput("non-canonical digit vector: trailing zero digit")
@@ -325,11 +336,17 @@ class BigDigits:
         if base < 2:
             raise BadInput(f"digit base must be >= 2, got {base}")
         value = operator.index(value)
-        digits = _int_to_digits(abs(value), base, 1)
+        if base == _BYTE_BASE:
+            digits = _int_to_bytes(abs(value))
+        else:
+            digits = _int_to_digits(abs(value), base, 1)
         return cls(tuple(digits), base, value < 0)
 
     def to_int(self) -> int:
-        value = _digits_to_int(self.digits, self.base)
+        if self.base == _BYTE_BASE:
+            value = int.from_bytes(bytes(self.digits), "little")
+        else:
+            value = _digits_to_int(self.digits, self.base)
         return -value if self.negative else value
 
     @classmethod
@@ -346,6 +363,24 @@ class BigDigits:
     def to_decimal(self) -> str:
         text = _format_digits(abs(self.to_int()), _str_digit_limit())
         return "-" + text if self.negative else text
+
+
+def _carry_bytes(raw) -> bytes:
+    """_carry_propagate(raw, 256) for nonnegative coefficients below 2**63.
+
+    The carried value is sum(raw[i] * 256**i).  Split each coefficient
+    into its bytes: lane j holds byte j of every coefficient, and read as
+    one little-endian integer it is sum(byte_j(raw[i]) * 256**i), so the
+    value is the sum of the lanes shifted by 8*j bits; CPython does the
+    carrying inside the additions.
+    """
+    raw = np.asarray(raw, dtype=np.int64)
+    value = 0
+    top = int(raw.max())
+    for j in range((top.bit_length() + 7) // 8):
+        lane = ((raw >> 8 * j) & 255).astype(np.uint8)
+        value += int.from_bytes(lane.tobytes(), "little") << 8 * j
+    return _int_to_bytes(value)
 
 
 def _carry_propagate(raw, base: int) -> tuple[int, ...]:
@@ -392,10 +427,13 @@ def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
 
     Prefers the single smallest adequate prime; otherwise accumulates
     primes smallest-first.  Raises BoundExceeded when the whole registry
-    is not enough.
+    is not enough.  ``registry`` None means the built-in table; an empty
+    registry admits nothing.
     """
+    if registry is None:
+        registry = builtin_rader_primes()
     candidates = sorted(
-        (entry for entry in (registry or builtin_rader_primes()) if entry.admits_length(length)),
+        (entry for entry in registry if entry.admits_length(length)),
         key=lambda entry: entry.prime,
     )
     for entry in candidates:
@@ -432,9 +470,13 @@ def bigint_multiply(a: BigDigits, b: BigDigits, moduli=None, registry=None) -> B
     if moduli is None:
         need = recovery_bound(n, a.base - 1, a.base - 1, signed=False)
         moduli = select_moduli(n, need, registry)
-    fa = list(a.digits) + [0] * (n - len(a.digits))
-    fb = list(b.digits) + [0] * (n - len(b.digits))
+    dtype = np.int64 if a.base <= INT64_LIMIT else object  # digits < base
+    fa, fb = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
+    fa[: len(a.digits)] = a.digits
+    fb[: len(b.digits)] = b.digits
     raw = convolve_crt(fa, fb, moduli)
-    return BigDigits(
-        _carry_propagate(raw, a.base), a.base, a.negative != b.negative
-    )
+    if a.base == _BYTE_BASE:  # coefficients are below n * 255**2 < 2**63
+        digits = tuple(_carry_bytes(raw))
+    else:
+        digits = _carry_propagate(raw, a.base)
+    return BigDigits(digits, a.base, a.negative != b.negative)

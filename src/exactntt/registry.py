@@ -208,8 +208,9 @@ def load_registry(path: str | None = None) -> tuple[RaderModulus, ...]:
 
 
 def find_modulus(value: int, registry: tuple[RaderModulus, ...] | None = None) -> RaderModulus:
-    """Look up a registry entry by its prime value."""
-    for entry in registry or builtin_rader_primes():
+    """Look up a registry entry by its prime value (in the built-in table
+    when ``registry`` is None; an empty registry holds no entry)."""
+    for entry in builtin_rader_primes() if registry is None else registry:
         if entry.prime == value:
             return entry
     raise BadInput(f"modulus {value} not present in registry")
