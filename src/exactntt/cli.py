@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: convolve, mul, verify, bench, registry, order, dyadic.
-Primary output (sequences, products, CSV, reports) goes to stdout or
+Subcommands: convolve, mul, verify, registry, order, dyadic.
+Primary output (sequences, products, reports) goes to stdout or
 --out; diagnostics always go to stderr.  Exit codes: 0 success, 1 failed
 verification, 2 parse/usage error, 3 recovery bound exceeded, 4 invalid
 transform length.
@@ -13,7 +13,6 @@ import math
 import sys
 
 from . import convolution, dyadic, modular, registry
-from .bench import CSV_HEADER, run_benchmark
 from .errors import (
     BoundExceeded,
     InvalidLength,
@@ -266,24 +265,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
 
-# -- bench ---------------------------------------------------------------
-
-
-def cmd_bench(args) -> int:
-    reg = registry.load_registry(args.registry)
-    modulus = _resolve_modulus_arg(args.modulus, reg)
-    kernels = ("mul", "shift") if args.kernel == "both" else (args.kernel,)
-    length = args.length
-    _diag(f"benchmarking N={length} modulus={args.modulus} kernels={kernels} repeats={args.repeats}")
-    if "shift" in kernels and length > 256:
-        _diag("note: the shift kernel is bit-serial; large lengths take a while")
-    results = run_benchmark(length, modulus, kernels=kernels, repeats=args.repeats, seed=args.seed)
-    print(CSV_HEADER)
-    for row in results:
-        print(row.csv_row())
-    return EXIT_OK
-
-
 # -- registry / order ------------------------------------------------------
 
 
@@ -358,11 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolve", help="exact cyclic convolution of two sequence files")
     p.add_argument("f", nargs="?", help="first sequence file")
     p.add_argument("g", nargs="?", help="second sequence file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--modulus", type=int, action="append", default=None,
-                      help="transform prime; repeat for an explicit CRT set")
-    mode.add_argument("--auto", action="store_true",
-                      help="pick moduli automatically (default when --modulus absent)")
+    p.add_argument("--modulus", type=int, action="append", default=None,
+                   help="transform prime; repeat for an explicit CRT set "
+                        "(default: pick moduli automatically)")
     p.add_argument("--crt", action="store_true",
                    help="allow escalation to multi-prime CRT when the bound fails")
     p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -395,16 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify the smallest composite with a power-of-two root-2 cycle (341)")
     add_registry_flag(p)
     p.set_defaults(handler=cmd_verify)
-
-    p = sub.add_parser("bench", help="time direct vs fast paths; CSV on stdout")
-    p.add_argument("--length", type=_parse_length, required=True,
-                   help="transform length (accepts 2^k shorthand)")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--kernel", choices=("mul", "shift", "both"), default="mul")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    add_registry_flag(p)
-    p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("registry", help="list the active modulus registry")
     add_registry_flag(p)

@@ -317,6 +317,7 @@ class BigDigits:
     negative: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "digits", tuple(self.digits))
         if self.base < 2:
             raise BadInput(f"digit base must be >= 2, got {self.base}")
         if not self.digits:

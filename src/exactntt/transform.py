@@ -2,8 +2,14 @@
 
 Two evaluation paths: a direct O(N^2) sum straight off the defining
 formula (the reference the fast path is checked against) and a radix-2
-decimation-in-time fast path for power-of-two lengths.  Each path runs
-under one of two multiplication kernels selected per plan:
+decimation-in-time fast path for power-of-two lengths.  Both compute
+only the forward sum X(u) = sum_t x(t) * w**(u*t).  The inverse is the
+forward transform of the index-reversed input, scaled by 1/N:
+x(t) = (1/N) sum_u X(-u mod N) * w**(u*t), so the direction enters only
+through the order in which a transform gathers its input and through
+the final scaling.  The direct path therefore caches one dense N x N
+twiddle matrix per plan, the forward one.  Each path runs under one of
+two multiplication kernels selected per plan:
 
   "mul"    products computed as ordinary multiplication; vectorized with
            int64 numpy arrays for moduli below 2**31.  The fast path
@@ -79,13 +85,16 @@ def int_array(values) -> np.ndarray:
     ints when some entry does not fit int64 (exact at any size).
 
     Entries must be integers (int, bool or numpy integer); anything else,
-    floats included, raises BadInput rather than being truncated.
+    floats included, raises BadInput rather than being truncated, and so
+    does an integer array of any rank but 1.
     """
     # the dtype test spares np.can_cast (about 1 us) on the int64 arrays
     # the pipeline passes between its steps
     if isinstance(values, np.ndarray) and (
         values.dtype == np.int64 or np.can_cast(values.dtype, np.int64)
     ):
+        if values.ndim != 1:
+            raise BadInput(f"sequence must be 1-D, got an array of rank {values.ndim}")
         return values.astype(np.int64, copy=False)
     try:
         values = values.tolist() if isinstance(values, np.ndarray) else list(values)
@@ -123,7 +132,7 @@ class ResidueSequence:
             arr = np.array(int_array(values), dtype=_residue_dtype(modulus))
         except OverflowError:
             arr = None
-        if arr is None or arr.ndim != 1 or (
+        if arr is None or (
             arr.size and not (0 <= int(arr.min()) and int(arr.max()) < modulus)
         ):
             raise BadInput("sequence values must be canonical residues in [0, m)")
@@ -192,10 +201,12 @@ class TransformPlan:
     """Validated (length, modulus, root) triple with precomputed tables.
 
     The working root is 2**root_step where root_step = order // length;
-    twiddles[j] = 2**(root_step * j) mod modulus.  n_inverse undoes the
-    length factor in the inverse transform.  reduction_stages lists the
-    fast-path stages (0 for the first, of size 2) before which the lazy
-    butterflies must reduce the array to [0, m) to keep int64 exact.
+    twiddles[j] = 2**(root_step * j) mod modulus.  inverse_twiddles[j] is
+    the inverse of twiddles[j], kept for callers; the transforms read only
+    twiddles.  n_inverse undoes the length factor in the inverse
+    transform.  reduction_stages lists the fast-path stages (0 for the
+    first, of size 2) before which the lazy butterflies must reduce the
+    array to [0, m) to keep int64 exact.
     Plans are immutable and safe to share across threads; the private
     cache only memoizes derived arrays whose recomputation is idempotent.
     """
@@ -225,32 +236,30 @@ class TransformPlan:
             self._cache["tw"] = arr
         return arr
 
-    def _itw_array(self) -> np.ndarray:
-        arr = self._cache.get("itw")
-        if arr is None:
-            arr = np.fromiter(self.inverse_twiddles, dtype=np.int64, count=self.length)
-            self._cache["itw"] = arr
-        return arr
-
-    def _bitrev(self) -> np.ndarray:
-        perm = self._cache.get("bitrev")
+    def _input_order(self, fast: bool, inverse: bool) -> np.ndarray:
+        # indices the transform gathers its input at: bit-reversed for the
+        # fast path, natural for the direct one, negated mod N for an inverse
+        key = ("order", fast, inverse)
+        perm = self._cache.get(key)
         if perm is None:
-            perm = _bit_reverse_indices(self.length)
-            self._cache["bitrev"] = perm
+            n = self.length
+            perm = _bit_reverse_indices(n) if fast else np.arange(n, dtype=np.int64)
+            if inverse:
+                perm = -perm % n
+            self._cache[key] = perm
         return perm
 
-    def _dense(self, inverse: bool) -> np.ndarray:
-        key = "dense_inv" if inverse else "dense_fwd"
-        mat = self._cache.get(key)
+    def _dense(self) -> np.ndarray:
+        mat = self._cache.get("dense")
         if mat is None:
-            tw = self._itw_array() if inverse else self._tw_array()
+            tw = self._tw_array()
             n = self.length
             mat = np.empty((n, n), dtype=np.int64)
             t = np.arange(n, dtype=np.int64)
             for u0 in range(0, n, 512):
                 u = np.arange(u0, min(u0 + 512, n), dtype=np.int64)[:, None]
                 mat[u0 : u0 + u.shape[0]] = tw[(u * t) % n]
-            self._cache[key] = mat
+            self._cache["dense"] = mat
         return mat
 
     def _matmul_safe(self) -> bool:
@@ -381,42 +390,34 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
 # -- direct path -------------------------------------------------------
 
 
-def _direct_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> np.ndarray:
+def _direct_mul(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
     n, m = plan.length, plan.modulus
-    vec = np.asarray(x)
     if n <= DENSE_LIMIT:
-        mat = plan._dense(inverse)
+        mat = plan._dense()
         if plan._matmul_safe():
-            out = (mat @ vec) % m
-        else:
-            out = np.empty(n, dtype=np.int64)
-            for u in range(n):
-                out[u] = ((mat[u] * vec) % m).sum() % m
-    else:
-        tw = plan._itw_array() if inverse else plan._tw_array()
-        t = np.arange(n, dtype=np.int64)
+            return (mat @ vec) % m
         out = np.empty(n, dtype=np.int64)
         for u in range(n):
-            out[u] = ((tw[(u * t) % n] * vec) % m).sum() % m
-    if inverse:
-        out = (out * plan.n_inverse) % m
+            out[u] = ((mat[u] * vec) % m).sum() % m
+        return out
+    tw = plan._tw_array()
+    t = np.arange(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
+    for u in range(n):
+        out[u] = ((tw[(u * t) % n] * vec) % m).sum() % m
     return out
 
 
-def _direct_shift(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[int]:
+def _direct_shift(vals: list[int], plan: TransformPlan) -> list[int]:
     n, m, s = plan.length, plan.modulus, plan.root_step
     # exponent for twiddle index j is s*j, already below the root-2 order
-    exps = [s * ((n - j) % n) for j in range(n)] if inverse else [s * j for j in range(n)]
-    vals = x.values
+    exps = [s * j for j in range(n)]
     out = []
     for u in range(n):
         acc = 0
         for t in range(n):
             acc += shift_mul(vals[t], exps[u * t % n], m)
-        acc %= m
-        if inverse:
-            acc = _normalize_shift(acc, plan)
-        out.append(acc)
+        out.append(acc % m)
     return out
 
 
@@ -429,31 +430,21 @@ def _normalize_shift(v: int, plan: TransformPlan) -> int:
 
 def forward_direct(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
     """Direct O(N^2) forward transform: X(u) = sum_t x(t) * root**(u*t)."""
-    _check_input(x, plan)
-    if plan.kernel == "shift":
-        out = _direct_shift(x, plan, inverse=False)
-    else:
-        out = _direct_mul(x, plan, inverse=False)
-    return ResidueSequence(out, plan.modulus)
+    return _transform(x, plan, fast=False, inverse=False)
 
 
 def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
     """Direct inverse: x(t) = (1/N) sum_u X(u) * root**(-u*t)."""
-    _check_input(X, plan)
-    if plan.kernel == "shift":
-        out = _direct_shift(X, plan, inverse=True)
-    else:
-        out = _direct_mul(X, plan, inverse=True)
-    return ResidueSequence(out, plan.modulus)
+    return _transform(X, plan, fast=False, inverse=True)
 
 
 # -- fast path ---------------------------------------------------------
 
 
-def _fast_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> np.ndarray:
+def _fast_mul(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # a is the gathered copy of the input; the butterflies work in place
     n, m = plan.length, plan.modulus
-    a = np.asarray(x)[plan._bitrev()]
-    tw = plan._itw_array() if inverse else plan._tw_array()
+    tw = plan._tw_array()
     size, stage = 2, 0
     while size <= n:
         if stage in plan.reduction_stages:
@@ -477,26 +468,18 @@ def _fast_mul(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> np.ndar
         size <<= 1
         stage += 1
     a %= m
-    if inverse:
-        a *= plan.n_inverse
-        a %= m
     return a
 
 
-def _fast_shift(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[int]:
+def _fast_shift(a: list[int], plan: TransformPlan) -> list[int]:
     n, m, s = plan.length, plan.modulus, plan.root_step
-    perm = plan._bitrev()
-    a = [x.values[int(p)] for p in perm]
     size = 2
     while size <= n:
         half = size // 2
         step = n // size
         for start in range(0, n, size):
             for j in range(half):
-                e = s * j * step
-                if inverse and e:
-                    e = plan.order - e
-                hi = shift_mul(a[start + half + j], e, m)
+                hi = shift_mul(a[start + half + j], s * j * step, m)
                 lo = a[start + j]
                 u = lo + hi
                 if u >= m:
@@ -507,8 +490,6 @@ def _fast_shift(x: ResidueSequence, plan: TransformPlan, inverse: bool) -> list[
                 a[start + j] = u
                 a[start + half + j] = v
         size <<= 1
-    if inverse:
-        a = [_normalize_shift(v, plan) for v in a]
     return a
 
 
@@ -517,23 +498,30 @@ def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 
     Lengths that are not powers of two fall back to the direct path.
     """
-    _check_input(x, plan)
-    if not modular.is_power_of_two(plan.length):
-        return forward_direct(x, plan)
-    if plan.kernel == "shift":
-        out = _fast_shift(x, plan, inverse=False)
-    else:
-        out = _fast_mul(x, plan, inverse=False)
-    return ResidueSequence(out, plan.modulus)
+    return _transform(x, plan, fast=True, inverse=False)
 
 
 def inverse_fast(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
     """Radix-2 fast inverse transform; bit-exact equal to inverse_direct."""
-    _check_input(X, plan)
-    if not modular.is_power_of_two(plan.length):
-        return inverse_direct(X, plan)
+    return _transform(X, plan, fast=True, inverse=True)
+
+
+def _transform(
+    x: ResidueSequence, plan: TransformPlan, fast: bool, inverse: bool
+) -> ResidueSequence:
+    """Every transform computes the forward sum.  The inverse differs only
+    in its input order, u -> -u mod N, and in the final 1/N scaling:
+    x(t) = (1/N) sum_u X(-u mod N) * root**(u*t)."""
+    _check_input(x, plan)
+    fast = fast and modular.is_power_of_two(plan.length)
+    a = np.asarray(x)[plan._input_order(fast, inverse)]
     if plan.kernel == "shift":
-        out = _fast_shift(X, plan, inverse=True)
+        out = (_fast_shift if fast else _direct_shift)(a.tolist(), plan)
+        if inverse:
+            out = [_normalize_shift(v, plan) for v in out]
     else:
-        out = _fast_mul(X, plan, inverse=True)
+        out = (_fast_mul if fast else _direct_mul)(a, plan)
+        if inverse:
+            out *= plan.n_inverse
+            out %= plan.modulus
     return ResidueSequence(out, plan.modulus)

@@ -213,39 +213,6 @@ def test_verify_broken_registry_row(tmp_path, capsys):
     assert "FAIL table1: m=2424833" in out
 
 
-# -- bench --------------------------------------------------------------------------
-
-
-def test_bench_csv_schema(capsys):
-    assert run(["bench", "--length", "2^6", "--modulus", 641, "--repeats", 2]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "n,modulus,kernel,path,median_ns,outputs_match"
-    assert len(lines) == 3
-    for line in lines[1:]:
-        n, m, kernel, path, median, match = line.split(",")
-        assert (n, m, kernel) == ("64", "641", "mul")
-        assert path in ("direct", "fast")
-        assert int(median) > 0
-        assert match == "true"
-
-
-def test_bench_both_kernels_match(capsys):
-    assert run(["bench", "--length", 16, "--modulus", 641, "--kernel", "both", "--repeats", 2]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.endswith("true") for line in lines[1:])
-
-
-def test_bench_length_one(capsys):
-    assert run(["bench", "--length", 1, "--modulus", 641, "--repeats", 2]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 3
-
-
-def test_bench_invalid_length():
-    assert run(["bench", "--length", 3, "--modulus", 641]) == 4
-
-
 # -- registry / order / dyadic --------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Sequence entries must be integers (no silent truncation of floats),
-and an empty registry holds no modulus (no fallback to the built-in
-table)."""
+sequences must be one-dimensional, digit vectors are tuples, and an
+empty registry holds no modulus (no fallback to the built-in table)."""
 
 from fractions import Fraction
 
@@ -49,6 +49,29 @@ PRIMES = [entry.prime for entry in REG]
 def test_non_integral_entries_raise_bad_input(call):
     with pytest.raises(BadInput):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, rank",
+    [
+        (lambda: convolve_direct(np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=np.int64)), 2),
+        (lambda: convolve_ntt(np.ones((4, 4), dtype=np.int64), np.ones((4, 4), dtype=np.int64), 641), 2),
+        (lambda: ResidueSequence(np.zeros((2, 2), dtype=np.int64), 7), 2),
+        (lambda: ResidueSequence.reduce(np.array(5), 7), 0),
+    ],
+    ids=["direct", "ntt", "residues", "reduce-scalar-array"],
+)
+def test_integer_arrays_of_other_rank_raise_bad_input(call, rank):
+    with pytest.raises(BadInput, match=f"rank {rank}"):
+        call()
+
+
+def test_big_digits_keep_a_tuple():
+    assert isinstance(BigDigits([1, 2]).digits, tuple)
+    assert BigDigits([5]) == BigDigits((5,))
+    assert hash(BigDigits([5])) == hash(BigDigits((5,)))
+    with pytest.raises(BadInput, match="zero must be nonnegative"):
+        BigDigits([0], 256, True)
 
 
 def test_integer_entries_are_still_accepted():
