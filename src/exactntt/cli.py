@@ -198,13 +198,8 @@ def cmd_verify(args) -> int:
     all_ok = True
 
     if args.table1:
-        text_source = "<builtin>"
-        if args.registry:
-            with open(args.registry, "r", encoding="ascii") as fh:
-                rows = registry.parse_registry_text(fh.read(), args.registry, validate=False)
-            text_source = args.registry
-        else:
-            rows = registry.parse_registry_text(registry._builtin_text(), text_source, validate=False)
+        text, source = registry.registry_text(args.registry)
+        rows = registry.parse_registry_text(text, source, validate=False)
         passed = 0
         for row in rows:
             try:

@@ -12,11 +12,6 @@ from math import gcd, lcm
 
 from .errors import BadInput, ModuliNotCoprime, ModulusTooSmall, NotInvertible
 
-# Below this modulus a linear scan over successive powers is cheap and easy
-# to debug; above it the order is found by peeling prime factors off the
-# Carmichael bound.
-ORDER_SCAN_LIMIT = 2**20
-
 
 @dataclass(frozen=True)
 class ExtGcdResult:
@@ -145,22 +140,14 @@ def carmichael_lambda(m: int) -> int:
 def multiplicative_order(a: int, m: int) -> int:
     """Smallest v >= 1 with a**v == 1 (mod m).
 
-    Uses a linear scan below ORDER_SCAN_LIMIT and a Carmichael-divisor
-    search above it (factor lambda(m), then peel primes while the power
-    stays 1).
+    Carmichael-divisor search: factor lambda(m), then peel primes off it
+    while the power stays 1.
     """
     if m < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
     a = a % m
     if gcd(a, m) != 1:
         raise NotInvertible(f"order undefined: gcd({a}, {m}) != 1")
-    if m < ORDER_SCAN_LIMIT:
-        v = 1
-        x = a
-        while x != 1:
-            x = x * a % m
-            v += 1
-        return v
     order = carmichael_lambda(m)
     for p in factorize(order):
         while order % p == 0 and pow(a, order // p, m) == 1:

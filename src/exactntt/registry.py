@@ -193,18 +193,26 @@ def builtin_rader_primes() -> tuple[RaderModulus, ...]:
     return parse_registry_text(_builtin_text(), source="<builtin>")
 
 
-def load_registry(path: str | None = None) -> tuple[RaderModulus, ...]:
-    """Load and verify a registry.
+def registry_path(path: str | None = None) -> str | None:
+    """The registry file in force: explicit ``path``, then the NTT_REGISTRY
+    environment variable, then None for the embedded table."""
+    return path or os.environ.get(ENV_REGISTRY) or None
 
-    Resolution order: explicit ``path``, then the NTT_REGISTRY
-    environment variable, then the embedded table.
-    """
+
+def registry_text(path: str | None = None) -> tuple[str, str]:
+    """(text, source name) of the registry that registry_path resolves."""
+    path = registry_path(path)
     if path is None:
-        path = os.environ.get(ENV_REGISTRY) or None
-    if path is None:
-        return builtin_rader_primes()
+        return _builtin_text(), "<builtin>"
     with open(path, "r", encoding="ascii") as fh:
-        return parse_registry_text(fh.read(), source=path)
+        return fh.read(), path
+
+
+def load_registry(path: str | None = None) -> tuple[RaderModulus, ...]:
+    """Load and verify the registry that registry_path resolves."""
+    if registry_path(path) is None:
+        return builtin_rader_primes()
+    return parse_registry_text(*registry_text(path))
 
 
 def find_modulus(value: int, registry: tuple[RaderModulus, ...] | None = None) -> RaderModulus:

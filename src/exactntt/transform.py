@@ -7,9 +7,11 @@ only the forward sum X(u) = sum_t x(t) * w**(u*t).  The inverse is the
 forward transform of the index-reversed input, scaled by 1/N:
 x(t) = (1/N) sum_u X(-u mod N) * w**(u*t), so the direction enters only
 through the order in which a transform gathers its input and through
-the final scaling.  The direct path therefore caches one dense N x N
-twiddle matrix per plan, the forward one.  Each path runs under one of
-two multiplication kernels selected per plan:
+the final scaling.  The direct path evaluates the sum, a polynomial in
+w**u, by Horner's rule over blocks of B inputs and keeps no N x N
+matrix:  X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
+Each path runs under one of two multiplication kernels selected per
+plan:
 
   "mul"    products computed as ordinary multiplication; vectorized with
            int64 numpy arrays for moduli below 2**31.  The fast path
@@ -20,8 +22,9 @@ two multiplication kernels selected per plan:
            computes the stages before which that would fail
            (reduction_stages), asserts the bound at every stage, and the
            fast path reduces the array there and once at the end.  The
-           direct path reduces every product and sums at most N of them
-           unreduced only when N*(m-1)**2 < 2**63.
+           direct path adds B unreduced products of one block to the
+           carried Horner term, which is exact while
+           (B+1)*(m-1)**2 < 2**63; _direct_block picks B from (N, m).
   "shift"  every twiddle product goes through shift_mul, a bit-serial
            double-and-subtract loop: the hardware-style kernel that uses
            no general multiplication.  Slow, exact, and required to be
@@ -44,10 +47,6 @@ from .errors import (
     VerificationFailed,
 )
 from .registry import MAX_MODULUS, RaderModulus
-
-# Largest length for which the direct path caches a dense twiddle matrix;
-# beyond this it streams row by row to bound memory.
-DENSE_LIMIT = 4096
 
 KERNELS = ("mul", "shift")
 
@@ -201,12 +200,10 @@ class TransformPlan:
     """Validated (length, modulus, root) triple with precomputed tables.
 
     The working root is 2**root_step where root_step = order // length;
-    twiddles[j] = 2**(root_step * j) mod modulus.  inverse_twiddles[j] is
-    the inverse of twiddles[j], kept for callers; the transforms read only
-    twiddles.  n_inverse undoes the length factor in the inverse
-    transform.  reduction_stages lists the fast-path stages (0 for the
-    first, of size 2) before which the lazy butterflies must reduce the
-    array to [0, m) to keep int64 exact.
+    twiddles[j] = 2**(root_step * j) mod modulus.  n_inverse undoes the
+    length factor in the inverse transform.  reduction_stages lists the
+    fast-path stages (0 for the first, of size 2) before which the lazy
+    butterflies must reduce the array to [0, m) to keep int64 exact.
     Plans are immutable and safe to share across threads; the private
     cache only memoizes derived arrays whose recomputation is idempotent.
     """
@@ -217,7 +214,6 @@ class TransformPlan:
     root_step: int
     kernel: str
     twiddles: tuple[int, ...]
-    inverse_twiddles: tuple[int, ...]
     n_inverse: int
     reduction_stages: tuple[int, ...]
     source: RaderModulus | None = field(default=None, compare=False)
@@ -248,23 +244,6 @@ class TransformPlan:
                 perm = -perm % n
             self._cache[key] = perm
         return perm
-
-    def _dense(self) -> np.ndarray:
-        mat = self._cache.get("dense")
-        if mat is None:
-            tw = self._tw_array()
-            n = self.length
-            mat = np.empty((n, n), dtype=np.int64)
-            t = np.arange(n, dtype=np.int64)
-            for u0 in range(0, n, 512):
-                u = np.arange(u0, min(u0 + 512, n), dtype=np.int64)[:, None]
-                mat[u0 : u0 + u.shape[0]] = tw[(u * t) % n]
-            self._cache["dense"] = mat
-        return mat
-
-    def _matmul_safe(self) -> bool:
-        # accumulating N unreduced residue products must stay below 2**63
-        return self.length * (self.modulus - 1) ** 2 < 2**63
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
@@ -321,6 +300,25 @@ def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
     return tuple(schedule)
 
 
+def _direct_block(length: int, m: int) -> int:
+    """Inputs per Horner block of the direct path.
+
+    One step adds a row sum of B products below (m-1)**2 to the carried
+    term times w**(u*B), also below (m-1)**2, so it is exact in int64
+    while (B+1)*(m-1)**2 < 2**63.  B is the largest power of two up to
+    64 that divides the length and keeps that bound.
+    """
+    block = 1
+    while (
+        block < 64
+        and length % (2 * block) == 0
+        and (2 * block + 1) * (m - 1) ** 2 < INT64_LIMIT
+    ):
+        block *= 2
+    assert (block + 1) * (m - 1) ** 2 < INT64_LIMIT, f"direct path overflows int64 mod {m}"
+    return block
+
+
 def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     """Construct a verified transform plan.
 
@@ -363,7 +361,6 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
             clause="order",
         )
 
-    inverse_twiddles = [twiddles[0]] + twiddles[:0:-1]
     n_inverse = modular.mod_inverse(length % m, m)
     assert length * n_inverse % m == 1
     return TransformPlan(
@@ -373,7 +370,6 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         root_step=step,
         kernel=kernel,
         twiddles=tuple(twiddles),
-        inverse_twiddles=tuple(inverse_twiddles),
         n_inverse=n_inverse,
         reduction_stages=_reduction_schedule(length, m),
         source=source,
@@ -391,20 +387,18 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
 
 
 def _direct_mul(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # Horner's rule in w**(u*B), from the last block of B inputs to the first
     n, m = plan.length, plan.modulus
-    if n <= DENSE_LIMIT:
-        mat = plan._dense()
-        if plan._matmul_safe():
-            return (mat @ vec) % m
-        out = np.empty(n, dtype=np.int64)
-        for u in range(n):
-            out[u] = ((mat[u] * vec) % m).sum() % m
-        return out
+    block = _direct_block(n, m)
     tw = plan._tw_array()
-    t = np.arange(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    for u in range(n):
-        out[u] = ((tw[(u * t) % n] * vec) % m).sum() % m
+    u = np.arange(n, dtype=np.int64)
+    rows = tw[u[:, None] * np.arange(block, dtype=np.int64) % n]
+    step = tw[u * block % n]
+    out = np.zeros(n, dtype=np.int64)
+    for start in range(n - block, -1, -block):
+        out *= step
+        out += rows @ vec[start : start + block]
+        out %= m
     return out
 
 
@@ -422,10 +416,14 @@ def _direct_shift(vals: list[int], plan: TransformPlan) -> list[int]:
 
 
 def _normalize_shift(v: int, plan: TransformPlan) -> int:
-    # 1/N is itself a power of two when N is: 2**(order - log2 N)
+    # 1/N = 2**-log2(N) when N is a power of two: log2 N modular halvings,
+    # adding the odd modulus first when v is odd
+    m = plan.modulus
     if modular.is_power_of_two(plan.length):
-        return shift_mul(v, plan.order - (plan.length.bit_length() - 1), plan.modulus)
-    return v * plan.n_inverse % plan.modulus
+        for _ in range(plan.length.bit_length() - 1):
+            v = (v + m if v & 1 else v) >> 1
+        return v
+    return v * plan.n_inverse % m
 
 
 def forward_direct(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:

@@ -213,6 +213,16 @@ def test_verify_broken_registry_row(tmp_path, capsys):
     assert "FAIL table1: m=2424833" in out
 
 
+def test_verify_table1_honours_env_registry(tmp_path, monkeypatch, capsys):
+    reg = tmp_path / "reg.txt"
+    reg.write_text("641 5 128\n")
+    monkeypatch.setenv(ENV_REGISTRY, str(reg))
+    assert run(["verify", "--table1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL table1: m=641" in out
+    assert "summary: 0/1 pass" in out
+
+
 # -- registry / order / dyadic --------------------------------------------------------
 
 

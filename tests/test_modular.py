@@ -129,15 +129,24 @@ def test_order_requires_coprime():
 
 
 def test_order_divisor_search_path():
-    # above the linear-scan threshold
-    assert 13631489 >= modular.ORDER_SCAN_LIMIT
     assert modular.multiplicative_order(2, 13631489) == 524288
     assert modular.multiplicative_order(2, 2424833) == 1024
-    # agreement between strategies for a modulus just above the threshold
+    # the order is minimal: no prime factor of it can be peeled off
     m = 2**20 + 7  # prime
     order = modular.multiplicative_order(3, m)
     assert pow(3, order, m) == 1
     assert all(pow(3, order // p, m) != 1 for p in modular.factorize(order))
+
+
+def test_order_matches_linear_scan():
+    for m in range(2, 400):
+        for a in range(1, 40):
+            if math.gcd(a, m) != 1:
+                continue
+            v, x = 1, a % m
+            while x != 1 % m:
+                x, v = x * a % m, v + 1
+            assert modular.multiplicative_order(a, m) == v, (a, m)
 
 
 @given(st.integers(2, 3000), st.integers(2, 3000))

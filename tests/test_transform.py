@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +48,6 @@ def test_plan_for_table_prime():
     assert plan.root_step == 1
     assert plan.twiddles[0] == 1
     assert len(set(plan.twiddles)) == 64
-    assert all(t * i % 641 == 1 for t, i in zip(plan.twiddles, plan.inverse_twiddles))
     assert 64 * plan.n_inverse % 641 == 1
 
 
@@ -62,7 +63,6 @@ def test_plan_length_must_divide_order():
 def test_plan_small_fermat_prime():
     plan = build_plan(4, 5)
     assert plan.twiddles == (1, 2, 4, 3)
-    assert plan.inverse_twiddles == (1, 3, 4, 2)
 
 
 def test_plan_submaximal_length_uses_root_power():
@@ -150,7 +150,12 @@ def test_inverse_direct_examples():
 
 
 @pytest.mark.parametrize(
-    "n,m", [(3, 7), (4, 5), (2, 5), (64, 641), (32, 641), (16, 2424833), (128, 319489)]
+    "n,m",
+    [
+        (3, 7), (4, 5), (2, 5), (12, 13), (64, 641), (32, 641), (16, 2424833),
+        (128, 319489), (128, 13631489), (64, 825753601), (64, 1214251009),
+        (12, 2013265921),
+    ],
 )
 def test_forward_direct_matches_reference(n, m):
     for seed in range(3):
@@ -164,7 +169,7 @@ def test_forward_direct_matches_reference(n, m):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])
-@pytest.mark.parametrize("m", [641, 2424833])
+@pytest.mark.parametrize("m", [641, 2424833, 13631489])
 def test_round_trip_both_paths(n, m):
     if not registry.find_modulus(m).admits_length(n):
         pytest.skip("length not admitted")
@@ -184,6 +189,23 @@ def test_fast_equals_direct(n):
         assert forward_fast(x, plan) == forward_direct(x, plan)
         X = random_sequence(n, m, seed + 100)
         assert inverse_fast(X, plan) == inverse_direct(X, plan)
+
+
+# 2013265921 = 15 * 2**27 + 1 is a plain prime, not a Fermat factor:
+# 2 has order 15 * 2**26, so odd lengths such as 3, 5 and 15 are admitted
+PLAIN_PRIME = 2013265921
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10, 12, 15, 16])
+def test_plain_prime_direct_path(n):
+    plan = build_plan(n, PLAIN_PRIME)
+    for seed in range(3):
+        x = random_sequence(n, PLAIN_PRIME, seed)
+        assert forward_fast(x, plan) == forward_direct(x, plan)
+        assert inverse_fast(x, plan) == inverse_direct(x, plan)
+        assert inverse_direct(forward_direct(x, plan), plan) == x
+    top = ResidueSequence([PLAIN_PRIME - 1] * n, PLAIN_PRIME)
+    assert list(forward_direct(top, plan).values) == reference_forward(top.values, PLAIN_PRIME, n)
 
 
 def test_fast_falls_back_for_non_power_of_two():
@@ -257,18 +279,61 @@ def test_shift_kernel_bit_identical_to_mul_kernel():
             assert inverse_fast(x, ps) == inverse_fast(x, pm)
 
 
+@pytest.mark.parametrize(
+    "m", [e.prime for e in registry.builtin_rader_primes()] + [1214251009, 825753601]
+)
+@pytest.mark.parametrize("n", [2, 64])
+def test_normalize_shift_scales_by_n_inverse(m, n):
+    plan = build_plan(n, m, kernel="shift")
+    rnd = random.Random(m + n)
+    for v in [0, 1, m - 1] + [rnd.randrange(m) for _ in range(20)]:
+        assert transform._normalize_shift(v, plan) == v * plan.n_inverse % m
+
+
 def test_shift_kernel_round_trip():
     plan = build_plan(16, 641, kernel="shift")
     x = random_sequence(16, 641, 3)
     assert inverse_fast(forward_fast(x, plan), plan) == x
 
 
-# -- larger direct path (streamed, above the dense-matrix cutoff) -----------------
+# -- the blocked Horner direct path ------------------------------------------------
 
 
 def test_direct_streaming_path_matches_fast():
     m = registry.find_modulus(13631489)
-    n = 2 * transform.DENSE_LIMIT
+    n = 8192
     plan = build_plan(n, m)
     x = random_sequence(n, m.prime, 0)
     assert forward_direct(x, plan) == forward_fast(x, plan)
+
+
+@pytest.mark.parametrize(
+    "m,n,block",
+    [
+        (641, 64, 64), (2424833, 1024, 64), (319489, 4096, 64), (13631489, 8192, 64),
+        (825753601, 1024, 8), (1214251009, 1024, 4), (PLAIN_PRIME, 16, 1),
+        (13, 12, 4), (13, 6, 2), (7, 3, 1),
+    ],
+)
+def test_direct_block_size(m, n, block):
+    # the largest power of two up to 64 dividing N with (B+1)*(m-1)**2 < 2**63
+    assert transform._direct_block(n, m) == block
+    assert (block + 1) * (m - 1) ** 2 < 2**63
+    assert block == 64 or n % (2 * block) or (2 * block + 1) * (m - 1) ** 2 >= 2**63
+
+
+def test_first_direct_round_trip_keeps_no_dense_matrix():
+    # the direct path holds O(N * 64) entries, not an N x N matrix (128 MiB here)
+    code = """
+import resource
+from exactntt.transform import ResidueSequence, build_plan, forward_direct, inverse_direct
+plan = build_plan(4096, 13631489)
+x = ResidueSequence(range(4096), 13631489)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert inverse_direct(forward_direct(x, plan), plan) == x
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    grown_kib = int(proc.stdout)
+    assert grown_kib < 32 * 1024, f"max RSS grew by {grown_kib / 1024:.1f} MiB"
