@@ -8,7 +8,7 @@ length 1 and length 2 with root == 2**alpha - 1 survive, which is why
 the library insists on machine-checked plans instead of assuming
 invertibility.
 
-    python scripts/dyadic_search.py --alpha 8 --max-root 63 --max-length 8
+    python scripts/dyadic_search.py --alpha 6 --max-root 63 --max-length 8
 """
 
 import argparse

@@ -69,28 +69,20 @@ def convolve_direct(f, g) -> list[int]:
     """Cyclic convolution by direct summation: h(j) = sum_k f(k) g(j-k).
 
     Exact integers in, exact integers out; this is the reference the
-    transform paths are measured against.  Uses a C-speed linear
-    convolution when the coefficient bound provably fits int64, else a
-    plain arbitrary-precision loop.
+    transform paths are measured against.  One linear convolution folded
+    to cyclic, on int64 when the coefficient bound provably fits it,
+    else on object arrays of Python ints (exact at any size).
     """
     f, g = _equal_length(f, g)
     n = len(f)
     if n == 0:
         return []
     (bf, _), (bg, _) = _scan(f), _scan(g)
-    if max(bf, bg, n * bf * bg) < _NP_EXACT_LIMIT:
-        lin = np.convolve(f, g)
-        out = lin[:n].copy()
-        out[: n - 1] += lin[n:]
-        return out.tolist()
-    f, g = f.tolist(), g.tolist()
-    out = []
-    for j in range(n):
-        acc = 0
-        for k in range(n):
-            acc += f[k] * g[(j - k) % n]
-        out.append(acc)
-    return out
+    dtype = np.int64 if max(bf, bg, n * bf * bg) < _NP_EXACT_LIMIT else object
+    lin = np.convolve(f.astype(dtype, copy=False), g.astype(dtype, copy=False))
+    out = lin[:n].copy()
+    out[: n - 1] += lin[n:]
+    return out.tolist()
 
 
 def _forward(values, plan) -> np.ndarray:
@@ -409,15 +401,11 @@ def schoolbook_multiply(a: BigDigits, b: BigDigits) -> BigDigits:
     if a.is_zero() or b.is_zero():
         return BigDigits((0,), a.base)
     bound = min(len(a.digits), len(b.digits)) * (a.base - 1) ** 2
-    if bound < _NP_EXACT_LIMIT:
-        raw = np.convolve(
-            np.array(a.digits, dtype=np.int64), np.array(b.digits, dtype=np.int64)
-        ).tolist()
-    else:
-        raw = [0] * (len(a.digits) + len(b.digits) - 1)
-        for i, da in enumerate(a.digits):
-            for j, db in enumerate(b.digits):
-                raw[i + j] += da * db
+    # Python ints (object arrays) once the sums could leave int64
+    dtype = np.int64 if bound < _NP_EXACT_LIMIT else object
+    raw = np.convolve(
+        np.array(a.digits, dtype=dtype), np.array(b.digits, dtype=dtype)
+    ).tolist()
     return BigDigits(
         _carry_propagate(raw, a.base), a.base, a.negative != b.negative
     )

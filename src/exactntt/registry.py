@@ -143,10 +143,6 @@ def validate_registry_entry(m: RaderModulus) -> RaderModulus:
     if not modular.is_prime(m.prime):
         raise VerificationFailed(f"{m.prime} is not prime", clause="primality")
     verify_fermat_factor(m)
-    if not modular.is_power_of_two(m.n_max):
-        raise VerificationFailed(
-            f"n_max {m.n_max} is not a power of two", clause="length"
-        )
     euler_pow = 1 << _euler_form_exponent(m.fermat_index)
     if (m.prime - 1) % euler_pow != 0:
         raise VerificationFailed(

@@ -10,24 +10,28 @@ through the order in which a transform gathers its input and through
 the final scaling.  The direct path evaluates the sum, a polynomial in
 w**u, by Horner's rule over blocks of B inputs and keeps no N x N
 matrix:  X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
-Each path runs under one of two multiplication kernels selected per
-plan:
 
-  "mul"    products computed as ordinary multiplication; vectorized with
-           int64 numpy arrays for moduli below 2**31.  The fast path
-           leaves butterfly outputs unreduced (lo + hi and lo - hi + m,
-           hi = x*w mod m), so each stage costs one modulo and the
-           bound on the entries grows by m per stage.  The twiddle
-           product stays exact while bound*(m-1) < 2**63; build_plan
-           computes the stages before which that would fail
-           (reduction_stages), asserts the bound at every stage, and the
-           fast path reduces the array there and once at the end.  The
-           direct path adds B unreduced products of one block to the
-           carried Horner term, which is exact while
-           (B+1)*(m-1)**2 < 2**63; _direct_block picks B from (N, m).
-  "shift"  every twiddle product goes through shift_mul, a bit-serial
-           double-and-subtract loop: the hardware-style kernel that uses
-           no general multiplication.  Slow, exact, and required to be
+Both paths work on int64 numpy arrays (moduli below 2**31) and serve
+both multiplication kernels.  The fast path leaves butterfly outputs
+unreduced (lo + hi and lo - hi + m, hi = x*w mod m), so each stage
+costs one modulo and the bound on the entries grows by m per stage.
+The twiddle product stays exact while bound*(m-1) < 2**63; build_plan
+computes the stages before which that would fail (reduction_stages),
+asserts the bound at every stage, and the fast path reduces the array
+there and once at the end.  The direct path adds B unreduced products
+of one block to the carried Horner term, which is exact while
+(B+1)*(m-1)**2 < 2**63; _direct_block picks B from (N, m).  A kernel,
+selected per plan, decides only the twiddle product, the direct path's
+block row sum and the 1/N scaling:
+
+  "mul"    the factor for twiddle j is w**j mod m; products are
+           ordinary int64 multiplication, row sums a matrix-vector
+           product, and 1/N a multiplication by n_inverse.
+  "shift"  the factor for twiddle j is its exponent root_step*j, since
+           w**j = 2**(root_step*j); every product is shift_mul, one left
+           shift and one reduction, applied elementwise on Python ints,
+           and 1/N at a power-of-two N is log2 N modular halvings.  No
+           general multiplication touches the data, and the results are
            bit-identical to "mul".
 """
 
@@ -61,22 +65,22 @@ _COLUMN_CROSSOVER = 512
 
 
 def shift_mul(x: int, alpha: int, m: int) -> int:
-    """x * 2**alpha mod m via alpha doubling steps.
+    """x * 2**alpha mod m as one left shift by alpha bits and one reduction.
 
-    Each step doubles and conditionally subtracts m, the bit-serial form
-    a shift-register implementation would use; no multiplication
-    instruction is involved.  Cost is O(alpha), so reduce exponents by
-    the root-2 order of m before calling in bulk.
+    No multiplication is involved.  The shifted value has alpha more
+    bits than x, so reduce exponents by the root-2 order of m before
+    calling in bulk.
     """
     if m < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
     if alpha < 0:
         raise BadInput("negative shift")
-    for _ in range(alpha):
-        x += x
-        if x >= m:
-            x -= m
-    return x
+    return (x << alpha) % m
+
+
+# shift_mul elementwise over broadcast arrays; it receives Python ints,
+# so wide shifts cannot overflow
+_shift_mul_array = np.frompyfunc(shift_mul, 3, 1)
 
 
 def int_array(values) -> np.ndarray:
@@ -225,11 +229,16 @@ class TransformPlan:
 
     # -- derived arrays ------------------------------------------------
 
-    def _tw_array(self) -> np.ndarray:
-        arr = self._cache.get("tw")
+    def _factors(self) -> np.ndarray:
+        # the kernel's factor for twiddle j: twiddles[j] under "mul", the
+        # exponent root_step*j (below the root-2 order) under "shift"
+        arr = self._cache.get("factors")
         if arr is None:
-            arr = np.fromiter(self.twiddles, dtype=np.int64, count=self.length)
-            self._cache["tw"] = arr
+            if self.kernel == "shift":
+                arr = self.root_step * np.arange(self.length, dtype=np.int64)
+            else:
+                arr = np.fromiter(self.twiddles, dtype=np.int64, count=self.length)
+            self._cache["factors"] = arr
         return arr
 
     def _input_order(self, fast: bool, inverse: bool) -> np.ndarray:
@@ -383,47 +392,55 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
         raise ModulusMismatch(f"sequence modulus {x.modulus} != plan modulus {plan.modulus}")
 
 
+# -- kernels -----------------------------------------------------------
+
+
+def _product(a: np.ndarray, f: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # twiddle products of the entries a and the kernel's factors f,
+    # unreduced under "mul" (below (m-1) * max(a)), reduced under "shift"
+    if plan.kernel == "shift":
+        return _shift_mul_array(a, f, plan.modulus).astype(np.int64)
+    return a * f
+
+
+def _row_sum(rows: np.ndarray, x: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # sum_t x(t) * rows[u, t] for every u, unreduced
+    if plan.kernel == "shift":
+        return _product(x, rows, plan).sum(axis=1)
+    return rows @ x
+
+
+def _scale_inverse(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # a * (1/N) mod m for residues a; under "shift" at a power-of-two N,
+    # 1/N = 2**-log2(N) is log2 N modular halvings, adding the odd
+    # modulus first to the odd entries
+    m = plan.modulus
+    if plan.kernel == "shift" and modular.is_power_of_two(plan.length):
+        for _ in range(plan.length.bit_length() - 1):
+            a = np.where(a & 1, a + m, a) >> 1
+        return a
+    a *= plan.n_inverse
+    a %= m
+    return a
+
+
 # -- direct path -------------------------------------------------------
 
 
-def _direct_mul(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
+def _direct(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # Horner's rule in w**(u*B), from the last block of B inputs to the first
     n, m = plan.length, plan.modulus
     block = _direct_block(n, m)
-    tw = plan._tw_array()
+    f = plan._factors()
     u = np.arange(n, dtype=np.int64)
-    rows = tw[u[:, None] * np.arange(block, dtype=np.int64) % n]
-    step = tw[u * block % n]
+    rows = f[u[:, None] * np.arange(block, dtype=np.int64) % n]
+    step = f[u * block % n]
     out = np.zeros(n, dtype=np.int64)
     for start in range(n - block, -1, -block):
-        out *= step
-        out += rows @ vec[start : start + block]
+        out = _product(out, step, plan)
+        out += _row_sum(rows, vec[start : start + block], plan)
         out %= m
     return out
-
-
-def _direct_shift(vals: list[int], plan: TransformPlan) -> list[int]:
-    n, m, s = plan.length, plan.modulus, plan.root_step
-    # exponent for twiddle index j is s*j, already below the root-2 order
-    exps = [s * j for j in range(n)]
-    out = []
-    for u in range(n):
-        acc = 0
-        for t in range(n):
-            acc += shift_mul(vals[t], exps[u * t % n], m)
-        out.append(acc % m)
-    return out
-
-
-def _normalize_shift(v: int, plan: TransformPlan) -> int:
-    # 1/N = 2**-log2(N) when N is a power of two: log2 N modular halvings,
-    # adding the odd modulus first when v is odd
-    m = plan.modulus
-    if modular.is_power_of_two(plan.length):
-        for _ in range(plan.length.bit_length() - 1):
-            v = (v + m if v & 1 else v) >> 1
-        return v
-    return v * plan.n_inverse % m
 
 
 def forward_direct(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
@@ -439,17 +456,17 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 # -- fast path ---------------------------------------------------------
 
 
-def _fast_mul(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # a is the gathered copy of the input; the butterflies work in place
     n, m = plan.length, plan.modulus
-    tw = plan._tw_array()
+    f = plan._factors()
     size, stage = 2, 0
     while size <= n:
         if stage in plan.reduction_stages:
             a %= m
         half = size // 2
         step = n // size
-        w = tw[0 : half * step : step]
+        w = f[0 : half * step : step]
         blocks = a.reshape(n // size, size)
         if half * half * _COLUMN_CROSSOVER < n:
             spans = [(j, j + 1) for j in range(half)]
@@ -458,7 +475,7 @@ def _fast_mul(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
         for j0, j1 in spans:
             lo, up = blocks[:, j0:j1], blocks[:, half + j0 : half + j1]
             # lazy butterfly: lo + hi and lo - hi + m, hi = up*w mod m
-            hi = up * w[j0:j1]
+            hi = _product(up, w[j0:j1], plan)
             hi %= m
             np.subtract(lo, hi, out=up)
             up += m
@@ -466,28 +483,6 @@ def _fast_mul(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
         size <<= 1
         stage += 1
     a %= m
-    return a
-
-
-def _fast_shift(a: list[int], plan: TransformPlan) -> list[int]:
-    n, m, s = plan.length, plan.modulus, plan.root_step
-    size = 2
-    while size <= n:
-        half = size // 2
-        step = n // size
-        for start in range(0, n, size):
-            for j in range(half):
-                hi = shift_mul(a[start + half + j], s * j * step, m)
-                lo = a[start + j]
-                u = lo + hi
-                if u >= m:
-                    u -= m
-                v = lo - hi
-                if v < 0:
-                    v += m
-                a[start + j] = u
-                a[start + half + j] = v
-        size <<= 1
     return a
 
 
@@ -513,13 +508,7 @@ def _transform(
     _check_input(x, plan)
     fast = fast and modular.is_power_of_two(plan.length)
     a = np.asarray(x)[plan._input_order(fast, inverse)]
-    if plan.kernel == "shift":
-        out = (_fast_shift if fast else _direct_shift)(a.tolist(), plan)
-        if inverse:
-            out = [_normalize_shift(v, plan) for v in out]
-    else:
-        out = (_fast_mul if fast else _direct_mul)(a, plan)
-        if inverse:
-            out *= plan.n_inverse
-            out %= plan.modulus
+    out = (_fast if fast else _direct)(a, plan)
+    if inverse:
+        out = _scale_inverse(out, plan)
     return ResidueSequence(out, plan.modulus)

@@ -281,6 +281,13 @@ def test_schoolbook_examples():
     b = BigDigits.from_int(34, 10)
     assert schoolbook_multiply(a, b).to_int() == 408
     assert schoolbook_multiply(a, BigDigits.from_int(0, 10)).to_int() == 0
+    # digit products beyond int64 take the object-array convolution
+    rnd = random.Random(9)
+    for base in (2**32, 2**64):
+        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            x, y = sa * rnd.getrandbits(1000), sb * rnd.getrandbits(700)
+            p = schoolbook_multiply(BigDigits.from_int(x, base), BigDigits.from_int(y, base))
+            assert p.to_int() == x * y
 
 
 def test_bigint_multiply_examples():

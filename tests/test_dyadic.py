@@ -1,4 +1,8 @@
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -234,3 +238,16 @@ def test_truncation_equals_explicit_modulo():
         for _ in range(100):
             x = [rnd.randrange(1 << (alpha - 4)) for _ in range(2)]
             assert dyadic_forward(x, plan) == reference_forward_mod(x, a, alpha)
+
+
+def test_search_script_documented_example():
+    # the example in the script's docstring and the README
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dyadic_search.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--alpha", "6", "--max-root", "63", "--max-length", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    found = re.findall(r"^  a=\s*(\d+) N=(\d+)(  <- negation root)?$", proc.stdout, re.M)
+    assert found == [("1", "1", ""), ("63", "2", "  <- negation root")]

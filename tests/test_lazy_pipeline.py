@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from exactntt import cli, registry
+from exactntt import cli, modular, registry
 from exactntt.convolution import (
     BigDigits,
     convolve_crt,
@@ -56,13 +56,24 @@ def test_edge_prime_fast_equals_direct_and_round_trips(m, n):
         assert inverse_fast(forward_fast(x, plan), plan) == x
 
 
-@pytest.mark.parametrize("m", EDGE_PRIMES)
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
-def test_edge_prime_shift_kernel_matches_mul(m, n):
+# every power-of-two length up to 1024 that each registry and edge prime admits
+SHIFT_CASES = [
+    (n, m)
+    for m in [e.prime for e in REG] + list(EDGE_PRIMES)
+    for n in (2**k for k in range(1, 11))
+    if modular.multiplicative_order(2, m) % n == 0
+]
+
+
+@pytest.mark.parametrize("n, m", SHIFT_CASES)
+def test_edge_prime_shift_kernel_matches_mul(n, m):
     mul, shift = build_plan(n, m), build_plan(n, m, kernel="shift")
     for x in edge_inputs(n, m).values():
-        assert forward_fast(x, shift) == forward_direct(x, mul)
-        assert inverse_fast(x, shift) == inverse_direct(x, mul)
+        assert forward_fast(x, shift) == forward_fast(x, mul)
+        assert inverse_fast(x, shift) == inverse_fast(x, mul)
+        if n <= 64:
+            assert forward_direct(x, shift) == forward_direct(x, mul)
+            assert inverse_direct(x, shift) == inverse_direct(x, mul)
 
 
 # -- the per-plan reduction schedule ----------------------------------------------
