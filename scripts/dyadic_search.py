@@ -21,11 +21,15 @@ from exactntt.dyadic import build_dyadic_plan
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--alpha", type=int, default=8)
-    parser.add_argument("--max-root", type=int, default=63)
+    parser.add_argument("--max-root", type=int, default=None,
+                        help="largest root tried (default 2**alpha - 1: every odd root)")
     parser.add_argument("--max-length", type=int, default=8)
     parser.add_argument("--show-rejections", type=int, default=5,
                         help="how many rejection witnesses to print")
     args = parser.parse_args()
+    top = (1 << args.alpha) - 1
+    if args.max_root is not None:
+        top = min(args.max_root, top)
 
     verdicts = Counter()
     validated = []
@@ -33,7 +37,7 @@ def main() -> int:
     for n in range(1, args.max_length + 1):
         if args.alpha < n:
             continue  # headroom cannot hold even for zero-bit data
-        for a in range(1, min(args.max_root, (1 << args.alpha) - 1) + 1, 2):
+        for a in range(1, top + 1, 2):
             plan = build_dyadic_plan(n, args.alpha, 0, a)
             verdicts[plan.status] += 1
             if plan.validated:

@@ -112,13 +112,6 @@ def _parse_length(text: str) -> int:
     return int(text)
 
 
-def _resolve_modulus_arg(value: int, reg):
-    for entry in reg:
-        if entry.prime == value:
-            return entry
-    return value  # plain prime; validated at plan construction
-
-
 # -- convolve ------------------------------------------------------------
 
 
@@ -152,7 +145,7 @@ def cmd_convolve(args) -> int:
         moduli = convolution.select_moduli(n, need, reg)
         source = f"bound exceeded for single prime {args.modulus[0]}; escalated to CRT over"
     else:
-        moduli = [_resolve_modulus_arg(m, reg) for m in args.modulus]
+        moduli = args.modulus  # plain primes; the plan computes their root-2 order
         source = "explicit moduli"
     primes = [getattr(m, "prime", m) for m in moduli]
     capacity = math.prod(primes)

@@ -37,8 +37,8 @@ _NP_EXACT_LIMIT = 2**62
 
 
 @lru_cache(maxsize=32)
-def _plan(length: int, modulus, kernel: str):
-    return build_plan(length, modulus, kernel)
+def _plan(length: int, modulus):
+    return build_plan(length, modulus)
 
 
 def _equal_length(f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +120,7 @@ def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
     return x
 
 
-def _convolve(f, g, moduli, kernel: str) -> list[int]:
+def _convolve(f, g, moduli) -> list[int]:
     """The one pipeline behind convolve_ntt and convolve_crt.
 
     Length check, magnitude/sign scan and recovery bound against the
@@ -134,7 +134,7 @@ def _convolve(f, g, moduli, kernel: str) -> list[int]:
         raise BadInput("convolve_crt needs at least one modulus")
     f, g = _equal_length(f, g)
     n = len(f)
-    plans = [_plan(n, mod, kernel) for mod in moduli]
+    plans = [_plan(n, mod) for mod in moduli]
     primes = [plan.modulus for plan in plans]
     product = _crt_product(primes)
     (bf, f_negative), (bg, g_negative) = _scan(f), _scan(g)
@@ -158,7 +158,7 @@ def _convolve(f, g, moduli, kernel: str) -> list[int]:
     return values.tolist()
 
 
-def convolve_ntt(f, g, modulus, kernel: str = "mul") -> list[int]:
+def convolve_ntt(f, g, modulus) -> list[int]:
     """Exact cyclic convolution through a single-prime transform.
 
     The one-prime case of convolve_crt: equals convolve_direct (as plain
@@ -167,7 +167,7 @@ def convolve_ntt(f, g, modulus, kernel: str = "mul") -> list[int]:
     input has negative entries (the result is then lifted
     symmetrically).  Raises BoundExceeded otherwise.
     """
-    return _convolve(f, g, [modulus], kernel)
+    return _convolve(f, g, [modulus])
 
 
 def convolve_crt(f, g, moduli) -> list[int]:
@@ -179,10 +179,10 @@ def convolve_crt(f, g, moduli) -> list[int]:
     combined from its per-prime residues, then lifted to
     (-prod/2, prod/2] when an input is negative.
     """
-    return _convolve(f, g, list(moduli), "mul")
+    return _convolve(f, g, list(moduli))
 
 
-def deconvolve(h, g, modulus, kernel: str = "mul") -> list[int]:
+def deconvolve(h, g, modulus) -> list[int]:
     """Spectral division: recover f (mod m) with f * g == h (mod m).
 
     Every spectral bin of g must be invertible; the first zero bin
@@ -191,7 +191,7 @@ def deconvolve(h, g, modulus, kernel: str = "mul") -> list[int]:
     Output is the canonical residue sequence of f.
     """
     h, g = _equal_length(h, g)
-    plan = _plan(len(h), modulus, kernel)
+    plan = _plan(len(h), modulus)
     m = plan.modulus
     H, G = _forward(h, plan), _forward(g, plan)
     zeros = np.flatnonzero(G == 0)

@@ -139,14 +139,8 @@ def _check_data(x, plan: DyadicPlan) -> list[int]:
     return x
 
 
-def dyadic_forward(x, plan: DyadicPlan) -> list[int]:
-    """X(u) = sum_t x(t) * root**(u*t), truncated to alpha bits.
-
-    The kernel uses only masking (truncation), additions and
-    multiplications; no modulo instruction.
-    """
-    _require_validated(plan)
-    x = _check_data(x, plan)
+def _power_sums(x: list[int], plan: DyadicPlan) -> list[int]:
+    # sum_t x(t) * root**(u*t) for every u, truncated to alpha bits
     n, mask, powers = plan.length, plan.mask, plan.root_powers
     out = []
     for u in range(n):
@@ -157,34 +151,43 @@ def dyadic_forward(x, plan: DyadicPlan) -> list[int]:
     return out
 
 
+def dyadic_forward(x, plan: DyadicPlan) -> list[int]:
+    """X(u) = sum_t x(t) * root**(u*t), truncated to alpha bits.
+
+    The kernel uses only masking (truncation), additions and
+    multiplications; no modulo instruction.
+    """
+    _require_validated(plan)
+    return _power_sums(_check_data(x, plan), plan)
+
+
 def dyadic_inverse(X, plan: DyadicPlan) -> list[int]:
     """Invert dyadic_forward; division by N is a right shift.
 
-    Inverse twiddles use root**(N - k) rather than a multiplicative
-    inverse (none exists mod a power of two).  Each unnormalized value
-    must be divisible by N; if not, an intermediate wrapped and the
-    result would be wrong, so NormalizationWrap is raised.
+    The unnormalized value at t is sum_u X(u) * root**(-u*t), which is
+    the forward power sum read at index -t mod N, so no multiplicative
+    inverse is needed (none exists mod a power of two).  Each
+    unnormalized value must be divisible by N; if not, an intermediate
+    wrapped and the result would be wrong, so NormalizationWrap is
+    raised.
     """
     _require_validated(plan)
     X = list(X)
     if len(X) != plan.length:
         raise LengthMismatch(f"sequence length {len(X)} != plan length {plan.length}")
-    n, mask, powers = plan.length, plan.mask, plan.root_powers
+    n = plan.length
     for v in X:
-        if v < 0 or v > mask:
+        if v < 0 or v > plan.mask:
             raise InputOutOfRange(f"value {v} outside [0, 2**{plan.alpha})")
+    sums = _power_sums(X, plan)
+    sums[1:] = sums[:0:-1]
     shift = n.bit_length() - 1
-    out = []
-    for t in range(n):
-        acc = 0
-        for u in range(n):
-            acc = (acc + X[u] * powers[(n - (u * t % n)) % n]) & mask
+    for t, acc in enumerate(sums):
         if acc & (n - 1):
             raise NormalizationWrap(
                 f"unnormalized value {acc} at t={t} is not divisible by {n}"
             )
-        out.append(acc >> shift)
-    return out
+    return [acc >> shift for acc in sums]
 
 
 def dyadic_convolve(f, g, plan: DyadicPlan) -> list[int]:

@@ -3,11 +3,13 @@
 Two evaluation paths: a direct O(N^2) sum straight off the defining
 formula (the reference the fast path is checked against) and a radix-2
 decimation-in-time fast path for power-of-two lengths.  Both compute
-only the forward sum X(u) = sum_t x(t) * w**(u*t).  The inverse is the
-forward transform of the index-reversed input, scaled by 1/N:
-x(t) = (1/N) sum_u X(-u mod N) * w**(u*t), so the direction enters only
-through the order in which a transform gathers its input and through
-the final scaling.  The direct path evaluates the sum, a polynomial in
+only the forward sum X(u) = sum_t x(t) * w**(u*t).  The inverse is that
+forward sum with its output index reversed, scaled by 1/N:
+x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t), so the
+direction touches neither the input gather nor the cores.  The plan
+holds only read-only int64 arrays built once (the twiddles and, at
+power-of-two lengths, the bit-reversed input order) and caches nothing
+afterwards.  The direct path evaluates the sum, a polynomial in
 w**u, by Horner's rule over blocks of B inputs and keeps no N x N
 matrix:  X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
 
@@ -201,15 +203,18 @@ class ResidueSequence:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Validated (length, modulus, root) triple with precomputed tables.
+    """Validated (length, modulus, root) triple with its read-only tables.
 
     The working root is 2**root_step where root_step = order // length;
-    twiddles[j] = 2**(root_step * j) mod modulus.  n_inverse undoes the
-    length factor in the inverse transform.  reduction_stages lists the
-    fast-path stages (0 for the first, of size 2) before which the lazy
-    butterflies must reduce the array to [0, m) to keep int64 exact.
-    Plans are immutable and safe to share across threads; the private
-    cache only memoizes derived arrays whose recomputation is idempotent.
+    twiddles[j] = 2**(root_step * j) mod modulus, as an int64 array.
+    bit_reversed is the fast path's input order at power-of-two lengths
+    (None otherwise).  n_inverse undoes the length factor in the inverse
+    transform.  reduction_stages lists the fast-path stages (0 for the
+    first, of size 2) before which the lazy butterflies must reduce the
+    array to [0, m) to keep int64 exact.  build_plan fills both arrays
+    once and nothing is cached later, so plans are immutable and safe to
+    share across threads.  The arrays follow from (length, modulus,
+    root_step) and take no part in equality or hashing.
     """
 
     length: int
@@ -217,47 +222,19 @@ class TransformPlan:
     order: int
     root_step: int
     kernel: str
-    twiddles: tuple[int, ...]
     n_inverse: int
     reduction_stages: tuple[int, ...]
-    source: RaderModulus | None = field(default=None, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    twiddles: np.ndarray = field(repr=False, compare=False)
+    bit_reversed: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def root(self) -> int:
-        return self.twiddles[1] if self.length > 1 else 1
-
-    # -- derived arrays ------------------------------------------------
-
-    def _factors(self) -> np.ndarray:
-        # the kernel's factor for twiddle j: twiddles[j] under "mul", the
-        # exponent root_step*j (below the root-2 order) under "shift"
-        arr = self._cache.get("factors")
-        if arr is None:
-            if self.kernel == "shift":
-                arr = self.root_step * np.arange(self.length, dtype=np.int64)
-            else:
-                arr = np.fromiter(self.twiddles, dtype=np.int64, count=self.length)
-            self._cache["factors"] = arr
-        return arr
-
-    def _input_order(self, fast: bool, inverse: bool) -> np.ndarray:
-        # indices the transform gathers its input at: bit-reversed for the
-        # fast path, natural for the direct one, negated mod N for an inverse
-        key = ("order", fast, inverse)
-        perm = self._cache.get(key)
-        if perm is None:
-            n = self.length
-            perm = _bit_reverse_indices(n) if fast else np.arange(n, dtype=np.int64)
-            if inverse:
-                perm = -perm % n
-            self._cache[key] = perm
-        return perm
+        return int(self.twiddles[1]) if self.length > 1 else 1
 
 
 def _bit_reverse_indices(n: int) -> np.ndarray:
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
+    # the read-only gather order of the fast path at power-of-two n
+    # (n = 1 shifts its single 0 by all 32 bits, which still gives 0)
     bits = n.bit_length() - 1
     rev = np.arange(n, dtype=np.uint32)
     rev = ((rev & 0x55555555) << 1) | ((rev & 0xAAAAAAAA) >> 1)
@@ -266,15 +243,17 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     rev = ((rev & 0x00FF00FF) << 8) | ((rev & 0xFF00FF00) >> 8)
     rev = (rev << 16) | (rev >> 16)
     rev >>= np.uint32(32 - bits)
-    return rev.astype(np.int64)
+    rev = rev.astype(np.int64)
+    rev.flags.writeable = False
+    return rev
 
 
-def _resolve_modulus(modulus) -> tuple[int, int, RaderModulus | None]:
-    """Accept a RaderModulus or a plain odd prime; return (m, order, source)."""
+def _resolve_modulus(modulus) -> tuple[int, int]:
+    """Accept a RaderModulus or a plain odd prime; return (m, order)."""
     if isinstance(modulus, RaderModulus):
-        m, order, source = modulus.prime, modulus.n_max, modulus
+        m, order = modulus.prime, modulus.n_max
     else:
-        m, order, source = int(modulus), None, None
+        m, order = int(modulus), None
     if m < 3:
         raise ModulusTooSmall(f"transform modulus must be an odd prime >= 3, got {m}")
     if m >= MAX_MODULUS:
@@ -285,7 +264,7 @@ def _resolve_modulus(modulus) -> tuple[int, int, RaderModulus | None]:
         )
     if order is None:
         order = modular.multiplicative_order(2, m)
-    return m, order, source
+    return m, order
 
 
 def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
@@ -339,7 +318,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     """
     if kernel not in KERNELS:
         raise BadInput(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    m, order, source = _resolve_modulus(modulus)
+    m, order = _resolve_modulus(modulus)
     if length < 1:
         raise InvalidLength(f"length must be >= 1, got {length}")
     if order % length != 0:
@@ -363,8 +342,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         raise VerificationFailed(
             f"root 2^{step} has order {j} < {length} mod {m}", clause="order"
         )
-    twiddles = arr.tolist()
-    if twiddles[-1] * root % m != 1:
+    if int(arr[-1]) * root % m != 1:
         raise VerificationFailed(
             f"root 2^{step} does not return to 1 after {length} steps mod {m}",
             clause="order",
@@ -372,16 +350,19 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
 
     n_inverse = modular.mod_inverse(length % m, m)
     assert length * n_inverse % m == 1
+    arr.flags.writeable = False
     return TransformPlan(
         length=length,
         modulus=m,
         order=order,
         root_step=step,
         kernel=kernel,
-        twiddles=tuple(twiddles),
         n_inverse=n_inverse,
         reduction_stages=_reduction_schedule(length, m),
-        source=source,
+        twiddles=arr,
+        bit_reversed=(
+            _bit_reverse_indices(length) if modular.is_power_of_two(length) else None
+        ),
     )
 
 
@@ -393,6 +374,14 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
 
 
 # -- kernels -----------------------------------------------------------
+
+
+def _factors(plan: TransformPlan) -> np.ndarray:
+    # the kernel's factor for twiddle j: twiddles[j] under "mul", the
+    # exponent root_step*j (below the root-2 order) under "shift"
+    if plan.kernel == "shift":
+        return plan.root_step * np.arange(plan.length, dtype=np.int64)
+    return plan.twiddles
 
 
 def _product(a: np.ndarray, f: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -431,7 +420,7 @@ def _direct(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # Horner's rule in w**(u*B), from the last block of B inputs to the first
     n, m = plan.length, plan.modulus
     block = _direct_block(n, m)
-    f = plan._factors()
+    f = _factors(plan)
     u = np.arange(n, dtype=np.int64)
     rows = f[u[:, None] * np.arange(block, dtype=np.int64) % n]
     step = f[u * block % n]
@@ -459,7 +448,7 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # a is the gathered copy of the input; the butterflies work in place
     n, m = plan.length, plan.modulus
-    f = plan._factors()
+    f = _factors(plan)
     size, stage = 2, 0
     while size <= n:
         if stage in plan.reduction_stages:
@@ -502,13 +491,16 @@ def inverse_fast(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 def _transform(
     x: ResidueSequence, plan: TransformPlan, fast: bool, inverse: bool
 ) -> ResidueSequence:
-    """Every transform computes the forward sum.  The inverse differs only
-    in its input order, u -> -u mod N, and in the final 1/N scaling:
-    x(t) = (1/N) sum_u X(-u mod N) * root**(u*t)."""
+    """Every transform computes the forward sum Y.  The inverse only
+    reverses its output index, t -> -t mod N, and scales by 1/N:
+    x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * root**(u*t)."""
     _check_input(x, plan)
-    fast = fast and modular.is_power_of_two(plan.length)
-    a = np.asarray(x)[plan._input_order(fast, inverse)]
-    out = (_fast if fast else _direct)(a, plan)
+    a = np.asarray(x)
+    if fast and plan.bit_reversed is not None:
+        out = _fast(a[plan.bit_reversed], plan)
+    else:
+        out = _direct(a, plan)  # reads a without writing it
     if inverse:
+        out[1:] = out[:0:-1]
         out = _scale_inverse(out, plan)
     return ResidueSequence(out, plan.modulus)

@@ -251,3 +251,12 @@ def test_search_script_documented_example():
     assert proc.returncode == 0, proc.stderr
     found = re.findall(r"^  a=\s*(\d+) N=(\d+)(  <- negation root)?$", proc.stdout, re.M)
     assert found == [("1", "1", ""), ("63", "2", "  <- negation root")]
+
+
+def test_search_script_defaults_reach_the_negation_root():
+    # with no arguments every odd root below 2**8 is tried, 255 included
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dyadic_search.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    found = re.findall(r"^  a=\s*(\d+) N=(\d+)(  <- negation root)?$", proc.stdout, re.M)
+    assert found == [("1", "1", ""), ("255", "2", "  <- negation root")]

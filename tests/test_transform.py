@@ -1,6 +1,9 @@
+import gc
 import random
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -63,7 +66,7 @@ def test_plan_length_must_divide_order():
 
 def test_plan_small_fermat_prime():
     plan = build_plan(4, 5)
-    assert plan.twiddles == (1, 2, 4, 3)
+    assert plan.twiddles.tolist() == [1, 2, 4, 3]
 
 
 def test_plan_submaximal_length_uses_root_power():
@@ -75,11 +78,49 @@ def test_plan_submaximal_length_uses_root_power():
 
 def test_plan_length_one():
     plan = build_plan(1, 641)
-    assert plan.twiddles == (1,)
+    assert plan.twiddles.tolist() == [1]
     assert plan.n_inverse == 1
     x = ResidueSequence((7,), 641)
     assert forward_fast(x, plan).values == (7,)
     assert inverse_direct(x, plan).values == (7,)
+
+
+def test_plan_tables_are_read_only_int64_arrays():
+    plan = build_plan(16, 641)
+    assert plan.twiddles.dtype == np.int64
+    assert plan.bit_reversed.tolist() == [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15]
+    for table in (plan.twiddles, plan.bit_reversed):
+        with pytest.raises(ValueError):
+            table[0] = 5
+    with pytest.raises(FrozenInstanceError):
+        plan.twiddles = np.ones(16, dtype=np.int64)
+    assert build_plan(12, 2013265921).bit_reversed is None
+
+
+def test_equal_builds_give_equal_plans():
+    a, b = build_plan(64, 641), build_plan(64, registry.find_modulus(641))
+    assert a == b and hash(a) == hash(b)
+    assert a != build_plan(64, 641, kernel="shift")
+    assert a != build_plan(32, 641)
+
+
+def test_plan_retains_only_its_tables():
+    # twiddles and bit-reversed order are 0.5 MiB each at 2^16; a fast
+    # round trip must not leave more behind in the plan
+    n, m = 1 << 16, 13631489
+    x = ResidueSequence(np.arange(n) % m, m)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        plan = build_plan(n, m)
+        inverse_fast(forward_fast(x, plan), plan)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert plan.length == n
+    assert retained <= 1.5 * 2**20, f"{retained / 2**20:.2f} MiB retained"
 
 
 def test_plan_rejects_composites_and_bad_kernels():
