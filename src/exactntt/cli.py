@@ -9,7 +9,6 @@ transform length.
 
 import argparse
 import json
-import math
 import sys
 
 from . import convolution, dyadic, modular, registry
@@ -36,6 +35,11 @@ def _diag(msg: str) -> None:
 # -- sequence file I/O ---------------------------------------------------
 
 
+def _is_int(v) -> bool:
+    # JSON numbers with a fraction or exponent load as float, true/false as bool
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def read_sequence_file(path: str, json_mode: bool = False) -> tuple[list[int], int | None]:
     """Parse a sequence file; returns (values, declared_bound).
 
@@ -48,13 +52,15 @@ def read_sequence_file(path: str, json_mode: bool = False) -> tuple[list[int], i
     if json_mode:
         try:
             obj = json.loads(text)
-            length = int(obj["length"])
+            length = obj["length"]
             values = list(obj["values"])
-            if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
-                raise NttError(f"{path}: sequence values must be integers")
-            bound = int(obj["bound"]) if obj.get("bound") is not None else None
+            bound = obj.get("bound")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise NttError(f"{path}: bad JSON sequence file: {exc}") from exc
+        if not all(_is_int(v) for v in [length, *values]) or not (
+            bound is None or _is_int(bound)
+        ):
+            raise NttError(f"{path}: JSON length, values and bound must be integers")
     else:
         lines = []
         for raw in text.splitlines():
@@ -148,7 +154,7 @@ def cmd_convolve(args) -> int:
         moduli = args.modulus  # plain primes; the plan computes their root-2 order
         source = "explicit moduli"
     primes = [getattr(m, "prime", m) for m in moduli]
-    capacity = math.prod(primes)
+    capacity = convolution._crt_product(primes)  # raises on shared factors
     _diag(
         f"{source} {primes}; bound audit: {'2*' if signed else ''}N*Bf*Bg = {need} "
         f"{'<' if need < capacity else '>='} capacity {capacity}"

@@ -2,20 +2,20 @@
 
 Two evaluation paths: a direct O(N^2) sum straight off the defining
 formula (the reference the fast path is checked against) and a radix-2
-decimation-in-time fast path for power-of-two lengths.  Both compute
-only the forward sum X(u) = sum_t x(t) * w**(u*t).  The inverse is that
-forward sum with its output index reversed, scaled by 1/N:
+Stockham fast path for power-of-two lengths, which reads its input and
+writes its output in natural order.  Both compute only the forward sum
+X(u) = sum_t x(t) * w**(u*t).  The inverse is that forward sum with its
+output index reversed, scaled by 1/N:
 x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t), so the
-direction touches neither the input gather nor the cores.  The plan
-holds only read-only int64 arrays built once (the twiddles and, at
-power-of-two lengths, the bit-reversed input order) and caches nothing
+direction touches neither the input nor the cores.  The plan holds only
+its read-only int64 twiddles, built once, and caches nothing
 afterwards.  The direct path evaluates the sum, a polynomial in
 w**u, by Horner's rule over blocks of B inputs and keeps no N x N
 matrix:  X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
 
 Both paths work on int64 numpy arrays (moduli below 2**31) and serve
 both multiplication kernels.  The fast path leaves butterfly outputs
-unreduced (lo + hi and lo - hi + m, hi = x*w mod m), so each stage
+unreduced (even + hi and even - hi + m, hi = odd*w mod m), so each stage
 costs one modulo and the bound on the entries grows by m per stage.
 The twiddle product stays exact while bound*(m-1) < 2**63; build_plan
 computes the stages before which that would fail (reduction_stages),
@@ -58,12 +58,6 @@ KERNELS = ("mul", "shift")
 
 # Every value held in an int64 array must stay below this.
 INT64_LIMIT = 2**63
-
-# numpy pays a start-up cost per row of a 2-D operand, which dominates
-# when a stage has many short blocks; such stages go column by column.
-# Columns measured faster while half**2 * _COLUMN_CROSSOVER < N
-# (half = butterflies per block; N = 2**10 .. 2**16, 2-vCPU Xeon).
-_COLUMN_CROSSOVER = 512
 
 
 def shift_mul(x: int, alpha: int, m: int) -> int:
@@ -203,18 +197,17 @@ class ResidueSequence:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Validated (length, modulus, root) triple with its read-only tables.
+    """Validated (length, modulus, root) triple with its read-only twiddles.
 
     The working root is 2**root_step where root_step = order // length;
-    twiddles[j] = 2**(root_step * j) mod modulus, as an int64 array.
-    bit_reversed is the fast path's input order at power-of-two lengths
-    (None otherwise).  n_inverse undoes the length factor in the inverse
-    transform.  reduction_stages lists the fast-path stages (0 for the
-    first, of size 2) before which the lazy butterflies must reduce the
-    array to [0, m) to keep int64 exact.  build_plan fills both arrays
-    once and nothing is cached later, so plans are immutable and safe to
-    share across threads.  The arrays follow from (length, modulus,
-    root_step) and take no part in equality or hashing.
+    twiddles[j] = 2**(root_step * j) mod modulus, as a read-only int64
+    array.  n_inverse undoes the length factor in the inverse transform.
+    reduction_stages lists the fast-path stages (0 for the first, which
+    makes transforms of length 2) before which the lazy butterflies must
+    reduce the array to [0, m) to keep int64 exact.  build_plan fills the
+    twiddles once and nothing is cached later, so plans are immutable and
+    safe to share across threads.  The twiddles follow from (length,
+    modulus, root_step) and take no part in equality or hashing.
     """
 
     length: int
@@ -225,27 +218,10 @@ class TransformPlan:
     n_inverse: int
     reduction_stages: tuple[int, ...]
     twiddles: np.ndarray = field(repr=False, compare=False)
-    bit_reversed: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def root(self) -> int:
         return int(self.twiddles[1]) if self.length > 1 else 1
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    # the read-only gather order of the fast path at power-of-two n
-    # (n = 1 shifts its single 0 by all 32 bits, which still gives 0)
-    bits = n.bit_length() - 1
-    rev = np.arange(n, dtype=np.uint32)
-    rev = ((rev & 0x55555555) << 1) | ((rev & 0xAAAAAAAA) >> 1)
-    rev = ((rev & 0x33333333) << 2) | ((rev & 0xCCCCCCCC) >> 2)
-    rev = ((rev & 0x0F0F0F0F) << 4) | ((rev & 0xF0F0F0F0) >> 4)
-    rev = ((rev & 0x00FF00FF) << 8) | ((rev & 0xFF00FF00) >> 8)
-    rev = (rev << 16) | (rev >> 16)
-    rev >>= np.uint32(32 - bits)
-    rev = rev.astype(np.int64)
-    rev.flags.writeable = False
-    return rev
 
 
 def _resolve_modulus(modulus) -> tuple[int, int]:
@@ -360,9 +336,6 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         n_inverse=n_inverse,
         reduction_stages=_reduction_schedule(length, m),
         twiddles=arr,
-        bit_reversed=(
-            _bit_reverse_indices(length) if modular.is_power_of_two(length) else None
-        ),
     )
 
 
@@ -446,33 +419,29 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 
 
 def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # a is the gathered copy of the input; the butterflies work in place
+    # Stockham autosort: entry (k, j) of the (L, C) view, L*C = N, holds
+    # the length-L transform at frequency k of every C-th input from j
+    # on.  A stage joins columns j and j + C/2 into the (2L, C/2) view,
+    # writing into the buffer the previous stage did not, so the input
+    # is only read and the output comes out in natural order.
     n, m = plan.length, plan.modulus
     f = _factors(plan)
-    size, stage = 2, 0
-    while size <= n:
+    buffers = np.empty((2, n), dtype=np.int64)
+    a = a.reshape(1, n)
+    for stage in range(n.bit_length() - 1):
         if stage in plan.reduction_stages:
             a %= m
-        half = size // 2
-        step = n // size
-        w = f[0 : half * step : step]
-        blocks = a.reshape(n // size, size)
-        if half * half * _COLUMN_CROSSOVER < n:
-            spans = [(j, j + 1) for j in range(half)]
-        else:
-            spans = [(0, half)]
-        for j0, j1 in spans:
-            lo, up = blocks[:, j0:j1], blocks[:, half + j0 : half + j1]
-            # lazy butterfly: lo + hi and lo - hi + m, hi = up*w mod m
-            hi = _product(up, w[j0:j1], plan)
-            hi %= m
-            np.subtract(lo, hi, out=up)
-            up += m
-            lo += hi
-        size <<= 1
-        stage += 1
-    a %= m
-    return a
+        rows, half = a.shape[0], a.shape[1] // 2
+        even, odd = a[:, :half], a[:, half:]
+        # lazy butterfly: even + hi and even - hi + m, hi = odd*w mod m
+        hi = _product(odd, f[0 : rows * half : half, None], plan)
+        hi %= m
+        out = buffers[stage % 2].reshape(2, rows, half)
+        np.add(even, hi, out=out[0])
+        np.subtract(even, hi, out=out[1])
+        out[1] += m
+        a = out.reshape(2 * rows, half)
+    return a.reshape(n) % m
 
 
 def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
@@ -495,11 +464,11 @@ def _transform(
     reverses its output index, t -> -t mod N, and scales by 1/N:
     x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * root**(u*t)."""
     _check_input(x, plan)
-    a = np.asarray(x)
-    if fast and plan.bit_reversed is not None:
-        out = _fast(a[plan.bit_reversed], plan)
+    a = np.asarray(x)  # read-only; neither core writes its input
+    if fast and modular.is_power_of_two(plan.length):
+        out = _fast(a, plan)
     else:
-        out = _direct(a, plan)  # reads a without writing it
+        out = _direct(a, plan)
     if inverse:
         out[1:] = out[:0:-1]
         out = _scale_inverse(out, plan)

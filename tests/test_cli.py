@@ -45,6 +45,24 @@ def test_sequence_file_validation(tmp_path):
         cli.read_sequence_file(str(bad), False)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"length": 2.9, "values": [1, 2], "bound": 2.5},
+        {"length": 2, "values": [1, 2], "bound": 2.5},
+        {"length": True, "values": [1]},
+        {"length": 2, "values": [1, 1], "bound": True},
+        {"length": "2", "values": [1, 2]},
+    ],
+)
+def test_json_header_must_be_integers(tmp_path, obj):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(NttError):
+        cli.read_sequence_file(str(path), True)
+    assert run(["convolve", path, path, "--json"]) == 2
+
+
 def test_sequence_file_comments_and_header_bound(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("# comment\n2 10\n5  # inline comment\n-10\n")
@@ -102,6 +120,18 @@ def test_convolve_exit_codes(tmp_path):
     (tmp_path / "garbage.txt").write_text("not a number\n")
     assert run(["convolve", tmp_path / "garbage.txt", tmp_path / "gb.txt"]) == 2
     assert run(["convolve", tmp_path / "missing.txt", tmp_path / "gb.txt"]) == 2
+
+
+def test_convolve_shared_moduli_fail_before_audit(tmp_path, capsys):
+    write_seq(tmp_path / "f.txt", [1, 1, 0, 0])
+    write_seq(tmp_path / "g.txt", [1, 0, 1, 0])
+    code = run([
+        "convolve", tmp_path / "f.txt", tmp_path / "g.txt",
+        "--modulus", 641, "--modulus", 641,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "shares factor" in err and "bound audit" not in err
 
 
 def test_convolve_crt_escalation(tmp_path, capsys):

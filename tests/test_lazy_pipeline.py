@@ -46,13 +46,22 @@ def edge_inputs(n, m):
 # -- lazy butterflies at the int64 edge ----------------------------------------
 
 
-@pytest.mark.parametrize("m", EDGE_PRIMES)
-@pytest.mark.parametrize("n", EDGE_LENGTHS)
-def test_edge_prime_fast_equals_direct_and_round_trips(m, n):
+# 1214251009 reduces before stages 6 and 12 from N = 2**13 on
+@pytest.mark.parametrize(
+    "n, m", [(n, m) for m in EDGE_PRIMES for n in EDGE_LENGTHS] + [(2**13, EDGE_PRIMES[0])]
+)
+def test_edge_prime_fast_equals_direct_and_round_trips(n, m):
     plan = build_plan(n, m)
     for x in edge_inputs(n, m).values():
         assert forward_fast(x, plan) == forward_direct(x, plan)
         assert inverse_fast(x, plan) == inverse_direct(x, plan)
+        assert inverse_fast(forward_fast(x, plan), plan) == x
+
+
+def test_edge_prime_fast_round_trip_at_2_16():
+    m = EDGE_PRIMES[0]
+    plan = build_plan(2**16, m)
+    for x in edge_inputs(2**16, m).values():
         assert inverse_fast(forward_fast(x, plan), plan) == x
 
 
