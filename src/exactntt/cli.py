@@ -136,11 +136,11 @@ def cmd_convolve(args) -> int:
         raise NttError("convolve needs two sequence files (or --self-test)")
     f, bound_f = read_sequence_file(args.f, args.json)
     g, bound_g = read_sequence_file(args.g, args.json)
+    f, g = convolution._equal_length(f, g)  # before any moduli are chosen
     n = len(f)
-    bf = max(bound_f or 0, max((abs(v) for v in f), default=0))
-    bg = max(bound_g or 0, max((abs(v) for v in g), default=0))
-    signed = any(v < 0 for v in f) or any(v < 0 for v in g)
-    need = convolution.recovery_bound(n, bf, bg, signed)
+    (bf, f_negative), (bg, g_negative) = convolution._scan(f), convolution._scan(g)
+    signed = f_negative or g_negative
+    need = convolution.recovery_bound(n, max(bound_f or 0, bf), max(bound_g or 0, bg), signed)
 
     if not args.modulus:
         if not any(entry.admits_length(n) for entry in reg):

@@ -27,6 +27,7 @@ from .registry import RaderModulus, builtin_rader_primes
 from .transform import (
     INT64_LIMIT,
     ResidueSequence,
+    _mod,
     build_plan,
     forward_fast,
     int_array,
@@ -103,18 +104,17 @@ def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
     """The unique x in [0, prod(moduli)) with x == residues[i] mod moduli[i].
 
     Garner's mixed-radix digits a_i < m_i, then x = a_0 + m_0*(a_1 + m_1*(...)).
-    Digit arithmetic stays below m_i * max(m_j) < 2**62; x itself is
-    int64 when the product of the moduli is below 2**63, Python ints
-    (object dtype) otherwise.
+    The digits are int64, their arithmetic below m_i * max(m_j) < 2**62;
+    x is int64 when the product of the moduli is below 2**63, Python
+    ints (object dtype) otherwise.
     """
     dtype = np.int64 if prod(moduli) < INT64_LIMIT else object
     digits = []
-    for r, mi in zip(residues, moduli):
-        t = r.astype(dtype)
+    for t, mi in zip(residues, moduli):
         for a, mj in zip(digits, moduli):
-            t = (t - a) % mi * modular.mod_inverse(mj, mi) % mi
+            t = _mod(_mod(t - a, mi) * modular.mod_inverse(mj, mi), mi)
         digits.append(t)
-    x = digits[-1]
+    x = digits[-1].astype(dtype)
     for a, mj in zip(digits[-2::-1], moduli[-2::-1]):
         x = x * mj + a
     return x
@@ -150,8 +150,8 @@ def _convolve(f, g, moduli) -> list[int]:
     per_prime = []
     for plan in plans:
         m = plan.modulus
-        spectrum = _forward(f, plan) * _forward(g, plan) % m
-        per_prime.append(np.asarray(inverse_fast(ResidueSequence(spectrum, m), plan)))
+        spectrum = _mod(_forward(f, plan) * _forward(g, plan), m)
+        per_prime.append(np.asarray(inverse_fast(ResidueSequence._wrap(spectrum, m), plan)))
     values = per_prime[0] if len(plans) == 1 else _garner(per_prime, primes)
     if signed:  # representatives in (-product/2, product/2]
         values = np.where(values > product // 2, values - product, values)
@@ -201,7 +201,7 @@ def deconvolve(h, g, modulus) -> list[int]:
             f"filter spectrum vanishes at bin {u}; cannot deconvolve",
             bin_index=u,
         )
-    out = inverse_fast(ResidueSequence(H * _inverse_mod(G, m) % m, m), plan)
+    out = inverse_fast(ResidueSequence._wrap(_mod(H * _inverse_mod(G, m), m), m), plan)
     return np.asarray(out).tolist()
 
 
@@ -216,8 +216,8 @@ def _inverse_mod(x: np.ndarray, m: int) -> np.ndarray:
     e = m - 2
     while e:
         if e & 1:
-            result = result * base % m
-        base = base * base % m
+            result = _mod(result * base, m)
+        base = _mod(base * base, m)
         e >>= 1
     return result
 

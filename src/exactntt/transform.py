@@ -14,9 +14,14 @@ w**u, by Horner's rule over blocks of B inputs and keeps no N x N
 matrix:  X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
 
 Both paths work on int64 numpy arrays (moduli below 2**31) and serve
-both multiplication kernels.  The fast path leaves butterfly outputs
+both multiplication kernels.  Every int64 reduction is _mod: with
+q = a // m, a mod m = a - q*m.  numpy divides by a scalar through a
+precomputed reciprocal, so the floor quotient, one product and one
+difference cost about a third of int64 %.  It is exact for any int64 a
+and 0 < m < 2**63: a wrap of q*m past +-2**63 cancels in a - q*m, whose
+true value lies in [0, m).  The fast path leaves butterfly outputs
 unreduced (even + hi and even - hi + m, hi = odd*w mod m), so each stage
-costs one modulo and the bound on the entries grows by m per stage.
+costs one reduction and the bound on the entries grows by m per stage.
 The twiddle product stays exact while bound*(m-1) < 2**63; build_plan
 computes the stages before which that would fail (reduction_stages),
 asserts the bound at every stage, and the fast path reduces the array
@@ -107,6 +112,18 @@ def int_array(values) -> np.ndarray:
         raise BadInput(f"sequence entries must be integers: {exc}") from None
 
 
+def _mod(a: np.ndarray, m: int, out=None) -> np.ndarray:
+    """a mod m in [0, m) for an int64 array a and 0 < m < 2**63.
+
+    The floor quotient is exact.  If q*m wraps past +-2**63, a - q*m
+    wraps back by the same 2**64, since the true remainder lies in
+    [0, m).  Writes into ``out`` when given, else into a new array.
+    """
+    q = np.floor_divide(a, m)
+    q *= m
+    return np.subtract(a, q, out=q if out is None else out)
+
+
 def _residue_dtype(modulus: int):
     # residues, and int64 % modulus, fit int64 only below 2**63
     return np.int64 if modulus < INT64_LIMIT else object
@@ -135,10 +152,22 @@ class ResidueSequence:
             arr.size and not (0 <= int(arr.min()) and int(arr.max()) < modulus)
         ):
             raise BadInput("sequence values must be canonical residues in [0, m)")
+        self._init(arr, modulus)
+
+    def _init(self, arr: np.ndarray, modulus: int) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_values", None)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray, modulus: int) -> "ResidueSequence":
+        """Trusted constructor for an array the library has just reduced:
+        1-D, of the residue dtype, entries in [0, modulus), referenced
+        nowhere else.  It is marked read-only, not copied or checked."""
+        seq = cls.__new__(cls)
+        seq._init(arr, modulus)
+        return seq
 
     @classmethod
     def reduce(cls, values, modulus: int) -> "ResidueSequence":
@@ -150,9 +179,10 @@ class ResidueSequence:
         if modulus < 2:
             raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
         arr = int_array(values)
-        if _residue_dtype(modulus) is object:
-            arr = arr.astype(object)
-        return cls(arr % modulus, modulus)
+        dtype = _residue_dtype(modulus)
+        if arr.dtype == np.int64 and dtype is np.int64:
+            return cls._wrap(_mod(arr, modulus), modulus)
+        return cls._wrap((arr.astype(object) % modulus).astype(dtype), modulus)
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -311,7 +341,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         # arr[filled + i] = arr[i] * root**filled; multiplier < m so
         # products stay under 2**62
         mult = int(arr[filled - 1]) * root % m
-        arr[filled : filled + chunk] = arr[:chunk] * mult % m
+        _mod(arr[:chunk] * mult, m, out=arr[filled : filled + chunk])
         filled += chunk
     if np.any(arr[1:] == 1):
         j = int(np.nonzero(arr[1:] == 1)[0][0]) + 1
@@ -382,8 +412,7 @@ def _scale_inverse(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
             a = np.where(a & 1, a + m, a) >> 1
         return a
     a *= plan.n_inverse
-    a %= m
-    return a
+    return _mod(a, m, out=a)
 
 
 # -- direct path -------------------------------------------------------
@@ -401,7 +430,7 @@ def _direct(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
     for start in range(n - block, -1, -block):
         out = _product(out, step, plan)
         out += _row_sum(rows, vec[start : start + block], plan)
-        out %= m
+        _mod(out, m, out=out)
     return out
 
 
@@ -430,18 +459,17 @@ def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     a = a.reshape(1, n)
     for stage in range(n.bit_length() - 1):
         if stage in plan.reduction_stages:
-            a %= m
+            _mod(a, m, out=a)
         rows, half = a.shape[0], a.shape[1] // 2
         even, odd = a[:, :half], a[:, half:]
         # lazy butterfly: even + hi and even - hi + m, hi = odd*w mod m
-        hi = _product(odd, f[0 : rows * half : half, None], plan)
-        hi %= m
+        hi = _mod(_product(odd, f[0 : rows * half : half, None], plan), m)
         out = buffers[stage % 2].reshape(2, rows, half)
         np.add(even, hi, out=out[0])
         np.subtract(even, hi, out=out[1])
         out[1] += m
         a = out.reshape(2 * rows, half)
-    return a.reshape(n) % m
+    return _mod(a.reshape(n), m)
 
 
 def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
@@ -472,4 +500,4 @@ def _transform(
     if inverse:
         out[1:] = out[:0:-1]
         out = _scale_inverse(out, plan)
-    return ResidueSequence(out, plan.modulus)
+    return ResidueSequence._wrap(out, plan.modulus)

@@ -134,6 +134,15 @@ def test_convolve_shared_moduli_fail_before_audit(tmp_path, capsys):
     assert "shares factor" in err and "bound audit" not in err
 
 
+def test_convolve_length_mismatch_fails_before_audit(tmp_path, capsys):
+    write_seq(tmp_path / "f.txt", [1, 2, 3, 4])
+    write_seq(tmp_path / "g.txt", [1, 2])
+    assert run(["convolve", tmp_path / "f.txt", tmp_path / "g.txt"]) == 2
+    err = capsys.readouterr().err
+    assert "lengths differ: 4 vs 2" in err
+    assert "bound audit" not in err and "moduli" not in err
+
+
 def test_convolve_crt_escalation(tmp_path, capsys):
     big = [600] * 64
     write_seq(tmp_path / "fb.txt", big)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -261,6 +262,57 @@ def test_transforms_do_not_mutate_input():
     forward_fast(x, plan)
     forward_direct(x, plan)
     assert x.values == before
+
+
+# -- floor-quotient reduction -------------------------------------------------
+
+
+def _mod_without_warnings(values, m):
+    """transform._mod on an int64 array, into a new array and in place,
+    with every warning (integer overflow included) raised as an error."""
+    a = np.array(values, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fresh = transform._mod(a, m)
+        inplace = a.copy()
+        returned = transform._mod(inplace, m, out=inplace)
+    assert returned is inplace
+    assert a.tolist() == list(values)  # input untouched without ``out``
+    assert fresh.dtype == inplace.dtype == np.int64
+    return fresh.tolist(), inplace.tolist()
+
+
+@pytest.mark.parametrize("m", [3, 641, 13631489, 2013265921, 2**62 + 1])
+def test_mod_equals_python_remainder_at_int64_edges(m):
+    values = [-(2**63), -(2**63) + 1, -1, 0, 1, m - 1, m, 2**63 - 1]
+    expected = [v % m for v in values]
+    assert _mod_without_warnings(values, m) == (expected, expected)
+
+
+@given(
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=32),
+    st.integers(1, 2**63 - 1),
+)
+@settings(max_examples=300)
+def test_mod_equals_python_remainder_on_random_int64(values, m):
+    expected = [v % m for v in values]
+    assert _mod_without_warnings(values, m) == (expected, expected)
+
+
+def test_library_results_are_wrapped_read_only():
+    plan = build_plan(8, 641)
+    x = random_sequence(8, 641, 1)
+    for fn in (forward_fast, inverse_fast, forward_direct, inverse_direct):
+        out = fn(x, plan)
+        assert out == ResidueSequence(out.values, 641)
+        assert not np.asarray(out).flags.writeable
+    source = np.array([-1, 641, 2**62], dtype=np.int64)
+    seq = ResidueSequence.reduce(source, 641)
+    assert seq.values == tuple(v % 641 for v in source.tolist())
+    assert not np.asarray(seq).flags.writeable and source.flags.writeable
+    arr = np.array([1, 2], dtype=np.int64)
+    assert np.asarray(ResidueSequence._wrap(arr, 5)) is arr  # no copy
+    assert not arr.flags.writeable
 
 
 @given(st.integers(0, 640), st.integers(0, 640), st.integers(0, 640), st.integers(0, 640))
