@@ -10,6 +10,7 @@ transform length.
 import argparse
 import json
 import sys
+from math import prod
 
 from . import convolution, dyadic, modular, registry
 from .errors import (
@@ -104,10 +105,13 @@ def write_sequence(stream, values: list[int], json_mode: bool = False, bound: in
             stream.write(f"{v}\n")
 
 
-def _open_out(path: str | None):
+def _write_result(path: str | None, values: list[int], json_mode: bool) -> None:
+    """Write a result sequence to ``path``, or to stdout for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+        write_sequence(sys.stdout, values, json_mode)
+        return
+    with open(path, "w", encoding="ascii") as fh:
+        write_sequence(fh, values, json_mode)
 
 
 def _parse_length(text: str) -> int:
@@ -134,39 +138,27 @@ def cmd_convolve(args) -> int:
         return EXIT_OK
     if not args.f or not args.g:
         raise NttError("convolve needs two sequence files (or --self-test)")
-    f, bound_f = read_sequence_file(args.f, args.json)
-    g, bound_g = read_sequence_file(args.g, args.json)
+    f, _ = read_sequence_file(args.f, args.json)  # a header B_max is checked there
+    g, _ = read_sequence_file(args.g, args.json)
     f, g = convolution._equal_length(f, g)  # before any moduli are chosen
     n = len(f)
-    (bf, f_negative), (bg, g_negative) = convolution._scan(f), convolution._scan(g)
-    signed = f_negative or g_negative
-    need = convolution.recovery_bound(n, max(bound_f or 0, bf), max(bound_g or 0, bg), signed)
-
-    if not args.modulus:
+    need, signed = convolution._requirement(f, g)
+    if args.modulus:
+        moduli = args.modulus  # plain primes; the plan computes their root-2 order
+        source = "explicit moduli"
+    else:
         if not any(entry.admits_length(n) for entry in reg):
             raise InvalidLength(f"no registry modulus admits length {n}")
         moduli = convolution.select_moduli(n, need, reg)
         source = "auto-selected moduli"
-    elif args.crt and len(args.modulus) == 1 and args.modulus[0] <= need:
-        moduli = convolution.select_moduli(n, need, reg)
-        source = f"bound exceeded for single prime {args.modulus[0]}; escalated to CRT over"
-    else:
-        moduli = args.modulus  # plain primes; the plan computes their root-2 order
-        source = "explicit moduli"
+    # raises BoundExceeded(need, capacity) when the moduli are too small
+    result = convolution.convolve_crt(f, g, moduli)
     primes = [getattr(m, "prime", m) for m in moduli]
-    capacity = convolution._crt_product(primes)  # raises on shared factors
     _diag(
         f"{source} {primes}; bound audit: {'2*' if signed else ''}N*Bf*Bg = {need} "
-        f"{'<' if need < capacity else '>='} capacity {capacity}"
+        f"< capacity {prod(primes)}"
     )
-    result = convolution.convolve_crt(f, g, moduli)
-
-    stream, close = _open_out(args.out)
-    try:
-        write_sequence(stream, result, args.json)
-    finally:
-        if close:
-            stream.close()
+    _write_result(args.out, result, args.json)
     return EXIT_OK
 
 
@@ -306,13 +298,7 @@ def cmd_dyadic_convolve(args) -> int:
     if not plan.validated:
         _diag(f"plan rejected: {plan.reason}")
         return EXIT_VERIFY_FAILED
-    result = dyadic.dyadic_convolve(f, g, plan)
-    stream, close = _open_out(args.out)
-    try:
-        write_sequence(stream, result, args.json)
-    finally:
-        if close:
-            stream.close()
+    _write_result(args.out, dyadic.dyadic_convolve(f, g, plan), args.json)
     return EXIT_OK
 
 
@@ -336,8 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, action="append", default=None,
                    help="transform prime; repeat for an explicit CRT set "
                         "(default: pick moduli automatically)")
-    p.add_argument("--crt", action="store_true",
-                   help="allow escalation to multi-prime CRT when the bound fails")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--json", action="store_true", help="read/write JSON sequence files")
     p.add_argument("--self-test", action="store_true", dest="self_test",

@@ -66,6 +66,17 @@ def recovery_bound(n: int, bf: int, bg: int, signed: bool) -> int:
     return (2 if signed else 1) * n * bf * bg
 
 
+def _requirement(f: np.ndarray, g: np.ndarray) -> tuple[int, bool]:
+    """(need, signed): the recovery bound of the data and whether it is signed.
+
+    The one computation of the requirement: _convolve checks it against
+    the capacity of its moduli, the CLI chooses and audits moduli by it.
+    """
+    (bf, f_negative), (bg, g_negative) = _scan(f), _scan(g)
+    signed = f_negative or g_negative
+    return recovery_bound(len(f), bf, bg, signed), signed
+
+
 def convolve_direct(f, g) -> list[int]:
     """Cyclic convolution by direct summation: h(j) = sum_k f(k) g(j-k).
 
@@ -114,7 +125,7 @@ def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
         for a, mj in zip(digits, moduli):
             t = _mod(_mod(t - a, mi) * modular.mod_inverse(mj, mi), mi)
         digits.append(t)
-    x = digits[-1].astype(dtype)
+    x = digits[-1].astype(dtype, copy=False)
     for a, mj in zip(digits[-2::-1], moduli[-2::-1]):
         x = x * mj + a
     return x
@@ -123,12 +134,12 @@ def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
 def _convolve(f, g, moduli) -> list[int]:
     """The one pipeline behind convolve_ntt and convolve_crt.
 
-    Length check, magnitude/sign scan and recovery bound against the
-    product of the moduli; then per prime reduce -> forward -> pointwise
-    product -> inverse; then the CRT combine (skipped for one prime) and
-    a symmetric lift when an input is negative.  Data stays in int64
-    arrays throughout, or object arrays of Python ints where a value
-    does not fit int64.
+    Length check and the data's recovery requirement (_requirement)
+    against the product of the moduli; then per prime reduce -> forward
+    -> pointwise product -> inverse; then the CRT combine (for one prime
+    the residues themselves) and a symmetric lift when an input is
+    negative.  Data stays in int64 arrays throughout, or object arrays
+    of Python ints where a value does not fit int64.
     """
     if not moduli:
         raise BadInput("convolve_crt needs at least one modulus")
@@ -137,9 +148,7 @@ def _convolve(f, g, moduli) -> list[int]:
     plans = [_plan(n, mod) for mod in moduli]
     primes = [plan.modulus for plan in plans]
     product = _crt_product(primes)
-    (bf, f_negative), (bg, g_negative) = _scan(f), _scan(g)
-    signed = f_negative or g_negative
-    need = recovery_bound(n, bf, bg, signed)
+    need, signed = _requirement(f, g)
     if need >= product:
         raise BoundExceeded(
             f"recovery bound {need} >= capacity {product} of moduli "
@@ -152,7 +161,7 @@ def _convolve(f, g, moduli) -> list[int]:
         m = plan.modulus
         spectrum = _mod(_forward(f, plan) * _forward(g, plan), m)
         per_prime.append(np.asarray(inverse_fast(ResidueSequence._wrap(spectrum, m), plan)))
-    values = per_prime[0] if len(plans) == 1 else _garner(per_prime, primes)
+    values = _garner(per_prime, primes)
     if signed:  # representatives in (-product/2, product/2]
         values = np.where(values > product // 2, values - product, values)
     return values.tolist()

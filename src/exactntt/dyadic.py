@@ -21,7 +21,6 @@ from .errors import (
     LengthMismatch,
     NormalizationWrap,
 )
-from .modular import is_power_of_two
 
 VALIDATED = "validated"
 REJECTED = "rejected"
@@ -106,10 +105,8 @@ def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPl
         powers.append(w)
     if (w * root) & mask != 1:
         return rejected(f"root**{length} != 1 mod 2**{alpha}")
-    if not is_power_of_two(length):
-        # cannot happen for a true order in this group, but a defensive
-        # verdict beats an impossible shift-division later
-        return rejected(f"length {length} is not a power of two")
+    # root has exact order length in (Z/2**alpha)^x, a group of order
+    # 2**(alpha-1), so by Lagrange length is a power of two
 
     for k in range(1, length):
         total = 0

@@ -93,18 +93,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (intended for n < 2**31)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
-            return False
-        d += 6
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def totient(m: int) -> int:

@@ -7,7 +7,7 @@ of such primes and every claimed entry can be re-checked executably.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -39,17 +39,12 @@ class RaderModulus:
     prime: int
     fermat_index: int
     n_max: int
-    word_size_bits: int = field(default=0)
 
-    def __post_init__(self):
-        if self.word_size_bits == 0:
-            bits = self.prime.bit_length()
-            for w in (8, 16, 32, 64):
-                if bits <= w:
-                    object.__setattr__(self, "word_size_bits", w)
-                    break
-            else:
-                object.__setattr__(self, "word_size_bits", bits)
+    @property
+    def word_size_bits(self) -> int:
+        """The smallest of 8/16/32/64 bits holding ``prime`` (its bit length beyond)."""
+        bits = self.prime.bit_length()
+        return next((w for w in (8, 16, 32, 64) if bits <= w), bits)
 
     def admits_length(self, n: int) -> bool:
         return n >= 1 and self.n_max % n == 0

@@ -143,16 +143,27 @@ def test_convolve_length_mismatch_fails_before_audit(tmp_path, capsys):
     assert "bound audit" not in err and "moduli" not in err
 
 
-def test_convolve_crt_escalation(tmp_path, capsys):
+def test_convolve_audit_reports_the_data_requirement(tmp_path, capsys):
+    # the header bound 100 is a checked promise; the moduli and the audit
+    # follow from the data, whose need is 4 * 1 * 1
+    (tmp_path / "f.txt").write_text("4 100\n1\n1\n0\n0\n")
+    (tmp_path / "g.txt").write_text("4 100\n1\n0\n1\n0\n")
+    code = run(["convolve", tmp_path / "f.txt", tmp_path / "g.txt", "--modulus", 641])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "bound audit: N*Bf*Bg = 4 < capacity 641" in captured.err
+    assert [int(v) for v in captured.out.split()[1:]] == convolve_direct([1, 1, 0, 0], [1, 0, 1, 0])
+
+
+def test_convolve_inadequate_modulus_fails_without_audit(tmp_path, capsys):
     big = [600] * 64
     write_seq(tmp_path / "fb.txt", big)
     write_seq(tmp_path / "gb.txt", big)
-    code = run(["convolve", tmp_path / "fb.txt", tmp_path / "gb.txt", "--modulus", 641, "--crt"])
-    assert code == 0
+    code = run(["convolve", tmp_path / "fb.txt", tmp_path / "gb.txt", "--modulus", 641])
+    assert code == 3
     captured = capsys.readouterr()
-    assert "escalated" in captured.err
-    got = [int(v) for v in captured.out.split()[1:]]
-    assert got == convolve_direct(big, big)
+    assert f"need {64 * 600 * 600}, capacity 641" in captured.err
+    assert "bound audit" not in captured.err and captured.out == ""
 
 
 def test_convolve_explicit_crt_set(tmp_path, capsys):
