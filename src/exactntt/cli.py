@@ -167,8 +167,8 @@ def cmd_convolve(args) -> int:
 
 def cmd_mul(args) -> int:
     reg = registry.load_registry(args.registry)
-    a = convolution.BigDigits.from_decimal(args.a, args.base)
-    b = convolution.BigDigits.from_decimal(args.b, args.base)
+    a = convolution.BigDigits.from_decimal(args.a)
+    b = convolution.BigDigits.from_decimal(args.b)
     product = convolution.bigint_multiply(a, b, registry=reg)
     print(product.to_decimal())
     return EXIT_OK
@@ -332,8 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mul", help="exact product of two decimal integers")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--base", type=int, default=convolution.DEFAULT_BASE,
-                   help="internal digit base (default 256)")
     add_registry_flag(p)
     p.set_defaults(handler=cmd_mul)
 

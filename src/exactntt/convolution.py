@@ -11,7 +11,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, log2, prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -233,14 +233,6 @@ def _inverse_mod(x: np.ndarray, m: int) -> np.ndarray:
 
 # -- big-integer multiplication ----------------------------------------
 
-DEFAULT_BASE = 256
-
-# In base 256 a digit vector is the integer's little-endian byte string,
-# so splitting, joining and carrying go through int.to_bytes and
-# int.from_bytes; other bases use the divide-and-conquer code and the
-# carry loop below.
-_BYTE_BASE = 256
-
 # CPython caps int<->str conversion at sys.get_int_max_str_digits()
 # digits (0: no cap).  Decimal I/O converts longer operands in pieces
 # under the cap rather than raising it for the whole process.
@@ -269,62 +261,30 @@ def _format_digits(value: int, limit: int) -> str:
     return _format_digits(high, limit) + _format_digits(low, limit).zfill(k)
 
 
-# Digit vectors up to this many digits convert one digit at a time; longer
-# ones split in halves on base**k, so the big-int divmod and multiply work
-# on balanced operands (subquadratic, like _format_digits).
-_SPLIT_DIGITS = 64
-
-
-def _int_to_digits(value: int, base: int, width: int) -> list[int]:
-    """Little-endian digits of value >= 0, zero-padded to at least ``width``."""
-    count = int(value.bit_length() / log2(base)) + 1
-    if count <= _SPLIT_DIGITS:
-        digits = []
-        while value:
-            value, d = divmod(value, base)
-            digits.append(d)
-        return digits + [0] * (width - len(digits))
-    k = count // 2
-    high, low = divmod(value, base**k)
-    return _int_to_digits(low, base, k) + _int_to_digits(high, base, width - k)
-
-
-def _digits_to_int(digits, base: int) -> int:
-    """Value of the little-endian digit sequence ``digits``."""
-    if len(digits) <= _SPLIT_DIGITS:
-        value = 0
-        for d in reversed(digits):
-            value = value * base + d
-        return value
-    k = len(digits) // 2
-    return _digits_to_int(digits[:k], base) + _digits_to_int(digits[k:], base) * base**k
-
-
 def _int_to_bytes(value: int) -> bytes:
-    """Base-256 digits of value >= 0: its little-endian bytes, at least one."""
+    """Little-endian bytes of value >= 0, at least one."""
     return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "little")
 
 
 @dataclass(frozen=True)
 class BigDigits:
-    """Arbitrary-precision integer as little-endian digits in [0, base).
+    """Arbitrary-precision integer as its little-endian bytes and a sign.
 
-    Canonical form: no trailing zero digits except the single-digit
-    zero, which is nonnegative.
+    ``digits`` are the magnitude's bytes, lowest first, so from_int and
+    to_int (and through them the decimal I/O) are int.to_bytes and
+    int.from_bytes.  Canonical form: no trailing zero byte except the
+    single-byte zero, which is nonnegative.
     """
 
     digits: tuple[int, ...]
-    base: int = DEFAULT_BASE
     negative: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(self.digits))
-        if self.base < 2:
-            raise BadInput(f"digit base must be >= 2, got {self.base}")
         if not self.digits:
             raise BadInput("digit vector must not be empty (zero is (0,))")
-        if min(self.digits) < 0 or max(self.digits) >= self.base:
-            raise BadInput(f"digits must lie in [0, {self.base})")
+        if min(self.digits) < 0 or max(self.digits) > 255:
+            raise BadInput("digits must be bytes, in [0, 256)")
         if len(self.digits) > 1 and self.digits[-1] == 0:
             raise BadInput("non-canonical digit vector: trailing zero digit")
         if self.is_zero() and self.negative:
@@ -334,25 +294,16 @@ class BigDigits:
         return self.digits == (0,)
 
     @classmethod
-    def from_int(cls, value: int, base: int = DEFAULT_BASE) -> "BigDigits":
-        if base < 2:
-            raise BadInput(f"digit base must be >= 2, got {base}")
+    def from_int(cls, value: int) -> "BigDigits":
         value = operator.index(value)
-        if base == _BYTE_BASE:
-            digits = _int_to_bytes(abs(value))
-        else:
-            digits = _int_to_digits(abs(value), base, 1)
-        return cls(tuple(digits), base, value < 0)
+        return cls(tuple(_int_to_bytes(abs(value))), value < 0)
 
     def to_int(self) -> int:
-        if self.base == _BYTE_BASE:
-            value = int.from_bytes(bytes(self.digits), "little")
-        else:
-            value = _digits_to_int(self.digits, self.base)
+        value = int.from_bytes(bytes(self.digits), "little")
         return -value if self.negative else value
 
     @classmethod
-    def from_decimal(cls, text: str, base: int = DEFAULT_BASE) -> "BigDigits":
+    def from_decimal(cls, text: str) -> "BigDigits":
         text = text.strip()
         sign = 1
         if text.startswith(("+", "-")):
@@ -360,7 +311,7 @@ class BigDigits:
             text = text[1:]
         if not (text.isascii() and text.isdigit()):
             raise BadInput(f"not a decimal integer: {text!r}")
-        return cls.from_int(sign * _parse_digits(text, _str_digit_limit()), base)
+        return cls.from_int(sign * _parse_digits(text, _str_digit_limit()))
 
     def to_decimal(self) -> str:
         text = _format_digits(abs(self.to_int()), _str_digit_limit())
@@ -368,7 +319,7 @@ class BigDigits:
 
 
 def _carry_bytes(raw) -> bytes:
-    """_carry_propagate(raw, 256) for nonnegative coefficients below 2**63.
+    """_carry_propagate(raw) for nonnegative coefficients below 2**63.
 
     The carried value is sum(raw[i] * 256**i).  Split each coefficient
     into its bytes: lane j holds byte j of every coefficient, and read as
@@ -385,14 +336,15 @@ def _carry_bytes(raw) -> bytes:
     return _int_to_bytes(value)
 
 
-def _carry_propagate(raw, base: int) -> tuple[int, ...]:
+def _carry_propagate(raw) -> tuple[int, ...]:
+    """Canonical bytes of sum(raw[i] * 256**i), one coefficient at a time."""
     digits = []
     carry = 0
     for coeff in raw:
-        carry, d = divmod(coeff + carry, base)
+        carry, d = divmod(coeff + carry, 256)
         digits.append(d)
     while carry:
-        carry, d = divmod(carry, base)
+        carry, d = divmod(carry, 256)
         digits.append(d)
     while len(digits) > 1 and digits[-1] == 0:
         digits.pop()
@@ -402,22 +354,14 @@ def _carry_propagate(raw, base: int) -> tuple[int, ...]:
 def schoolbook_multiply(a: BigDigits, b: BigDigits) -> BigDigits:
     """Positional digit-product multiplication: the independent oracle.
 
-    Every digit pair is multiplied and accumulated at its position
-    (O(n^2) work), then carries are resolved; no transform is involved.
+    Every byte pair is multiplied and accumulated at its position
+    (O(n^2) work, sums below len * 255**2), then carries are resolved
+    one coefficient at a time; no transform is involved.
     """
-    if a.base != b.base:
-        raise BadInput("operands must share a digit base")
     if a.is_zero() or b.is_zero():
-        return BigDigits((0,), a.base)
-    bound = min(len(a.digits), len(b.digits)) * (a.base - 1) ** 2
-    # Python ints (object arrays) once the sums could leave int64
-    dtype = np.int64 if bound < _NP_EXACT_LIMIT else object
-    raw = np.convolve(
-        np.array(a.digits, dtype=dtype), np.array(b.digits, dtype=dtype)
-    ).tolist()
-    return BigDigits(
-        _carry_propagate(raw, a.base), a.base, a.negative != b.negative
-    )
+        return BigDigits((0,))
+    raw = np.convolve(np.array(a.digits, dtype=np.int64), np.array(b.digits, dtype=np.int64))
+    return BigDigits(_carry_propagate(raw.tolist()), a.negative != b.negative)
 
 
 def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
@@ -444,37 +388,51 @@ def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
         product *= entry.prime
         if product > bound:
             return chosen
-    raise BoundExceeded(
-        f"registry primes admitting length {length} reach only {product} "
-        f"<= required {bound}; use a smaller digit base or supply more moduli",
-        need=bound,
-        capacity=product,
-    )
-
-
-def bigint_multiply(a: BigDigits, b: BigDigits, moduli=None, registry=None) -> BigDigits:
-    """Exact product via transform convolution of the digit vectors.
-
-    Digits are zero-padded to a power of two at least len(a)+len(b) so
-    the cyclic convolution equals the linear one, convolved over enough
-    primes to recover every coefficient, then carried back to canonical
-    digits.
-    """
-    if a.base != b.base:
-        raise BadInput("operands must share a digit base")
-    if a.is_zero() or b.is_zero():
-        return BigDigits((0,), a.base)
-    n = modular.next_power_of_two(len(a.digits) + len(b.digits))
-    if moduli is None:
-        need = recovery_bound(n, a.base - 1, a.base - 1, signed=False)
-        moduli = select_moduli(n, need, registry)
-    dtype = np.int64 if a.base <= INT64_LIMIT else object  # digits < base
-    fa, fb = np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype)
-    fa[: len(a.digits)] = a.digits
-    fb[: len(b.digits)] = b.digits
-    raw = convolve_crt(fa, fb, moduli)
-    if a.base == _BYTE_BASE:  # coefficients are below n * 255**2 < 2**63
-        digits = tuple(_carry_bytes(raw))
+    if not candidates:
+        message = f"no registry prime admits length {length} (required bound {bound})"
     else:
-        digits = _carry_propagate(raw, a.base)
-    return BigDigits(digits, a.base, a.negative != b.negative)
+        message = (
+            f"registry primes admitting length {length} reach only {product} "
+            f"<= required {bound}; supply more moduli"
+        )
+    raise BoundExceeded(message, need=bound, capacity=product)
+
+
+def _fields(x: BigDigits, bits: int, n: int) -> np.ndarray:
+    """The magnitude of x as n little-endian fields of ``bits`` bits, zero-padded.
+
+    ``bits`` divides 8: field j of byte i is field i*(8//bits) + j.
+    """
+    lanes = np.frombuffer(bytes(x.digits), dtype=np.uint8)[:, None]
+    fields = (lanes >> np.arange(0, 8, bits, dtype=np.uint8)) & (2**bits - 1)
+    out = np.zeros(n, dtype=np.int64)
+    out[: fields.size] = fields.reshape(-1)
+    return out
+
+
+def bigint_multiply(a: BigDigits, b: BigDigits, registry=None) -> BigDigits:
+    """Exact product via transform convolution of the operands' bit fields.
+
+    The bytes are cut into fields of 8, 4 or 2 bits, the widest for
+    which select_moduli finds moduli; narrower fields double the length
+    but shrink the coefficient bound about fourfold.  The fields are
+    zero-padded to a power of two at least the sum of both field counts,
+    so the cyclic convolution equals the linear one.  Its coefficients
+    are regrouped per byte and carried back to canonical bytes.
+    """
+    if a.is_zero() or b.is_zero():
+        return BigDigits((0,))
+    for bits in (8, 4, 2):
+        per_byte = 8 // bits
+        n = modular.next_power_of_two(per_byte * (len(a.digits) + len(b.digits)))
+        fa, fb = _fields(a, bits, n), _fields(b, bits, n)
+        try:
+            moduli = select_moduli(n, _requirement(fa, fb)[0], registry)
+            break
+        except BoundExceeded:
+            if bits == 2:
+                raise
+    raw = np.asarray(convolve_crt(fa, fb, moduli), dtype=np.int64)
+    # per-byte coefficients: each below 2**8 * n * (2**bits - 1)**2 < 2**63
+    raw = raw.reshape(-1, per_byte) @ (1 << bits * np.arange(per_byte, dtype=np.int64))
+    return BigDigits(tuple(_carry_bytes(raw)), a.negative != b.negative)

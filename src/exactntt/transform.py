@@ -20,8 +20,9 @@ precomputed reciprocal, so the floor quotient, one product and one
 difference cost about a third of int64 %.  It is exact for any int64 a
 and 0 < m < 2**63: a wrap of q*m past +-2**63 cancels in a - q*m, whose
 true value lies in [0, m).  The fast path leaves butterfly outputs
-unreduced (even + hi and even - hi + m, hi = odd*w mod m), so each stage
-costs one reduction and the bound on the entries grows by m per stage.
+unreduced (even + hi and even - hi, hi = odd*w mod m), so each stage
+costs one reduction and the bound on the entries' magnitudes grows by m
+per stage; _mod floors, so negative entries reduce to [0, m) too.
 The twiddle product stays exact while bound*(m-1) < 2**63; build_plan
 computes the stages before which that would fail (reduction_stages),
 asserts the bound at every stage, and the fast path reduces the array
@@ -276,9 +277,9 @@ def _resolve_modulus(modulus) -> tuple[int, int]:
 def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
     """Fast-path stages that must start from residues reduced to [0, m).
 
-    A lazy butterfly stage whose entries lie in [0, bound) multiplies the
-    upper half by twiddles below m, which is exact while
-    bound*(m-1) < 2**63, and leaves entries in [0, bound + m).  The
+    A lazy butterfly stage whose entries have magnitudes below bound
+    multiplies the upper half by twiddles below m, which is exact while
+    bound*(m-1) < 2**63, and leaves magnitudes below bound + m.  The
     schedule reduces before the first stage at which the product would
     overflow, and the assertion checks the invariant at every stage.
     """
@@ -462,12 +463,11 @@ def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
             _mod(a, m, out=a)
         rows, half = a.shape[0], a.shape[1] // 2
         even, odd = a[:, :half], a[:, half:]
-        # lazy butterfly: even + hi and even - hi + m, hi = odd*w mod m
+        # lazy butterfly: even + hi and even - hi, hi = odd*w mod m
         hi = _mod(_product(odd, f[0 : rows * half : half, None], plan), m)
         out = buffers[stage % 2].reshape(2, rows, half)
         np.add(even, hi, out=out[0])
         np.subtract(even, hi, out=out[1])
-        out[1] += m
         a = out.reshape(2 * rows, half)
     return _mod(a.reshape(n), m)
 

@@ -169,8 +169,6 @@ def test_decimal_round_trip_beyond_str_limit(limit):
             assert BigDigits.from_decimal(text).to_decimal() == text
             assert sys.get_int_max_str_digits() == limit
         assert BigDigits.from_decimal("000" + "0" * 5000 + "42").to_decimal() == "42"
-        value = BigDigits.from_decimal("3" * 5000, base=10)
-        assert value.digits == (3,) * 5000
     finally:
         sys.set_int_max_str_digits(old)
 
@@ -180,6 +178,19 @@ def test_cli_mul_4800_digits(capsys, default_str_limit):
     rnd = random.Random(4800)
     a = str(rnd.randint(1, 9)) + "".join(rnd.choice("0123456789") for _ in range(4799))
     b = "-" + str(rnd.randint(1, 9)) + "".join(rnd.choice("0123456789") for _ in range(4799))
+    assert cli.main(["mul", a, b]) == 0
+    out = capsys.readouterr().out.strip()
+    assert sys.get_int_max_str_digits() == default_str_limit
+    sys.set_int_max_str_digits(0)
+    assert out == str(int(a) * int(b))
+
+
+@needs_str_limit
+def test_cli_mul_20000_digits(capsys, default_str_limit):
+    # past the byte width's reach: the product runs on 2-bit fields
+    rnd = random.Random(20000)
+    a = "-" + str(rnd.randint(1, 9)) + "".join(rnd.choice("0123456789") for _ in range(19999))
+    b = str(rnd.randint(1, 9)) + "".join(rnd.choice("0123456789") for _ in range(19999))
     assert cli.main(["mul", a, b]) == 0
     out = capsys.readouterr().out.strip()
     assert sys.get_int_max_str_digits() == default_str_limit

@@ -1,7 +1,7 @@
-"""The base-256 byte path of BigDigits: digit split and join through
-int.to_bytes/int.from_bytes and the byte-lane carry, each checked against
-the divide-and-conquer conversions and the carry loop kept for the other
-bases; big-integer products against int.__mul__."""
+"""BigDigits as bytes: digit split and join through int.to_bytes and
+int.from_bytes, checked against a divmod loop; the byte-lane carry,
+checked against the schoolbook oracle's carry loop; big-integer products
+at every field width, checked against int.__mul__."""
 
 import random
 import sys
@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exactntt import registry
+from exactntt import convolution
 from exactntt.convolution import (
     BigDigits,
     _carry_bytes,
     _carry_propagate,
-    _digits_to_int,
-    _int_to_digits,
     bigint_multiply,
+    schoolbook_multiply,
 )
-from exactntt.errors import BadInput
+from exactntt.errors import BadInput, BoundExceeded
 
 # the longest transform a registry prime admits
 MAX_LENGTH = 2**19
@@ -31,6 +30,15 @@ def byte_edge_values():
     for k in (1, 2, 7, 8, 9, 64, 65, 500, 4999):
         values += [256 ** k - 1, 256 ** k, 256 ** k + 1]
     return values
+
+
+def divmod_bytes(value):
+    """Little-endian bytes of value >= 0, one divmod per byte."""
+    digits = [value % 256]
+    while value >= 256:
+        value //= 256
+        digits.append(value % 256)
+    return digits
 
 
 def random_values(count, max_bytes, seed):
@@ -46,11 +54,9 @@ def random_values(count, max_bytes, seed):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_byte_split_and_join_match_reference(value, sign):
     digits = BigDigits.from_int(sign * value)
-    assert digits.base == 256
-    assert list(digits.digits) == _int_to_digits(value, 256, 1)
+    assert list(digits.digits) == divmod_bytes(value)
     assert digits.negative == (sign < 0 and value != 0)
     assert digits.to_int() == sign * value
-    assert _digits_to_int(digits.digits, 256) == value
 
 
 @given(st.integers(-(2**4000), 2**4000))
@@ -87,9 +93,9 @@ def test_byte_carry_matches_loop_on_random_coefficients(n):
     rng = np.random.default_rng(n)
     for top in (1, 256, 255 * 255, n * 255 * 255):
         raw = rng.integers(0, top, size=n, endpoint=True)
-        assert carried_digits(raw) == _carry_propagate(raw.tolist(), 256)
+        assert carried_digits(raw) == _carry_propagate(raw.tolist())
     zeros = [0] * n
-    assert carried_digits(zeros) == _carry_propagate(zeros, 256) == (0,)
+    assert carried_digits(zeros) == _carry_propagate(zeros) == (0,)
 
 
 def test_byte_carry_matches_loop_at_the_coefficient_ceiling():
@@ -97,7 +103,7 @@ def test_byte_carry_matches_loop_at_the_coefficient_ceiling():
     assert top < 2**35  # five byte lanes
     raw = np.full(MAX_LENGTH, top, dtype=np.int64)
     digits = carried_digits(raw)
-    assert digits == _carry_propagate(raw.tolist(), 256)
+    assert digits == _carry_propagate(raw.tolist())
     assert int.from_bytes(bytes(digits), "little") == top * (256**MAX_LENGTH - 1) // 255
 
 
@@ -108,7 +114,7 @@ def test_byte_carry_matches_loop_on_the_longest_ripple(n):
     k = np.arange(2 * n - 1)
     raw = (np.minimum(k, 2 * n - 2 - k) + 1) * 255 * 255
     digits = carried_digits(raw)
-    assert digits == _carry_propagate(raw.tolist(), 256)
+    assert digits == _carry_propagate(raw.tolist())
     assert int.from_bytes(bytes(digits), "little") == (256**n - 1) ** 2
 
 
@@ -137,25 +143,45 @@ def test_bigint_multiply_base_256_zero_and_all_ones():
         assert product == BigDigits.from_int(0)
 
 
-@pytest.mark.parametrize("base", [2, 3, 10, 2**16])
-def test_other_bases_match_int_mul(base):
-    rnd = random.Random(base)
-    for da, db in [(1, 1), (5, 300), (300, 300)]:
-        for sa, sb in [(1, 1), (-1, 1), (1, -1)]:
-            a, b = sa * decimal_operand(rnd, da), sb * decimal_operand(rnd, db)
-            product = bigint_multiply(BigDigits.from_int(a, base), BigDigits.from_int(b, base))
-            assert product.base == base
-            assert product.to_int() == a * b
-            assert list(product.digits) == _int_to_digits(abs(a * b), base, 1)
-        assert bigint_multiply(BigDigits.from_int(0, base), BigDigits.from_int(a, base)).is_zero()
+@pytest.fixture
+def widths_tried(monkeypatch):
+    """Lengths bigint_multiply asks select_moduli for, one per field width tried."""
+    lengths = []
+    select = convolution.select_moduli
+
+    def recording(length, bound, registry=None):
+        lengths.append(length)
+        return select(length, bound, registry)
+
+    monkeypatch.setattr(convolution, "select_moduli", recording)
+    return lengths
 
 
-def test_digits_beyond_int64_still_multiply():
-    # base 2**64 needs more capacity than the registry has; registry
-    # primes plus two plain Fermat-factor primes reach ~2**132
-    moduli = [entry.prime for entry in registry.builtin_rader_primes()]
-    moduli += [1214251009, 825753601]
-    base = 2**64
-    a, b = BigDigits((base - 1,), base), BigDigits((base - 2, 3), base, negative=True)
-    assert bigint_multiply(a, a, moduli=moduli).to_int() == (base - 1) ** 2
-    assert bigint_multiply(a, b, moduli=moduli).to_int() == a.to_int() * b.to_int()
+# On the built-in table bytes reach 4900 decimal digits, 4-bit fields
+# 19000 and 2-bit fields 1.5*10**5: 13631489 is the only prime admitting
+# lengths above 4096.
+@pytest.mark.parametrize(
+    "digits, widths",
+    [(4900, 1), (5000, 2), (19000, 2), (21000, 3), (150000, 3)],
+)
+def test_products_on_both_sides_of_each_width_change(widths_tried, digits, widths):
+    rnd = random.Random(digits)
+    signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)] if digits < 10**5 else [(-1, 1)]
+    for sa, sb in signs:
+        a, b = sa * decimal_operand(rnd, digits), sb * decimal_operand(rnd, digits)
+        widths_tried.clear()
+        product = bigint_multiply(BigDigits.from_int(a), BigDigits.from_int(b))
+        assert product.to_int() == a * b
+        assert len(widths_tried) == widths
+    if digits <= 5000:
+        pa, pb = BigDigits.from_int(a), BigDigits.from_int(b)
+        assert bigint_multiply(pa, pb) == schoolbook_multiply(pa, pb)
+
+
+def test_products_beyond_every_width_raise_bound_exceeded(widths_tried):
+    a = BigDigits.from_int(10**200000 - 1)
+    with pytest.raises(BoundExceeded) as info:
+        bigint_multiply(a, a)
+    assert widths_tried == [2**18, 2**19, 2**20]
+    assert info.value.need is not None and info.value.capacity is not None
+    assert info.value.capacity <= info.value.need

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactntt import convolution, registry
+from exactntt import convolution, modular, registry
 from exactntt.convolution import (
     BigDigits,
     bigint_multiply,
@@ -241,22 +241,22 @@ def test_deconvolve_reports_first_bad_bin():
 def test_bigdigits_canonical_forms():
     assert BigDigits.from_int(0).digits == (0,)
     assert BigDigits.from_int(0).negative is False
-    assert BigDigits.from_int(-5, 10).digits == (5,)
-    assert BigDigits.from_int(-5, 10).negative is True
-    assert BigDigits.from_int(408, 10).digits == (8, 0, 4)
+    assert BigDigits.from_int(-5).digits == (5,)
+    assert BigDigits.from_int(-5).negative is True
+    assert BigDigits.from_int(0x040008).digits == (8, 0, 4)
     with pytest.raises(BadInput):
-        BigDigits((1, 0), 10)  # trailing zero
+        BigDigits((1, 0))  # trailing zero
     with pytest.raises(BadInput):
-        BigDigits((10,), 10)
+        BigDigits((256,))
     with pytest.raises(BadInput):
-        BigDigits((), 10)
+        BigDigits(())
     with pytest.raises(BadInput):
-        BigDigits((0,), 10, negative=True)
+        BigDigits((0,), negative=True)
 
 
-@given(st.integers(-(10**30), 10**30), st.sampled_from([2, 10, 16, 256, 1024]))
-def test_bigdigits_int_round_trip(value, base):
-    assert BigDigits.from_int(value, base).to_int() == value
+@given(st.integers(-(10**30), 10**30))
+def test_bigdigits_int_round_trip(value):
+    assert BigDigits.from_int(value).to_int() == value
 
 
 def test_bigdigits_decimal_parsing():
@@ -272,22 +272,21 @@ def test_bigdigits_decimal_parsing():
 
 
 def test_carry_propagation_steps():
-    # raw positional products of 12 * 34 in base 10: [8, 10, 3] -> 408
-    assert convolution._carry_propagate([8, 10, 3], 10) == (8, 0, 4)
+    # raw positional products of 0x0c0c * 0x2222 in base 256:
+    # [0x198, 0x330, 0x198] -> 0x019b3198
+    assert convolution._carry_propagate([0x198, 0x330, 0x198]) == (0x98, 0x31, 0x9B, 0x01)
 
 
 def test_schoolbook_examples():
-    a = BigDigits.from_int(12, 10)
-    b = BigDigits.from_int(34, 10)
+    a = BigDigits.from_int(12)
+    b = BigDigits.from_int(34)
     assert schoolbook_multiply(a, b).to_int() == 408
-    assert schoolbook_multiply(a, BigDigits.from_int(0, 10)).to_int() == 0
-    # digit products beyond int64 take the object-array convolution
+    assert schoolbook_multiply(a, BigDigits.from_int(0)).to_int() == 0
     rnd = random.Random(9)
-    for base in (2**32, 2**64):
-        for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            x, y = sa * rnd.getrandbits(1000), sb * rnd.getrandbits(700)
-            p = schoolbook_multiply(BigDigits.from_int(x, base), BigDigits.from_int(y, base))
-            assert p.to_int() == x * y
+    for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        x, y = sa * rnd.getrandbits(1000), sb * rnd.getrandbits(700)
+        p = schoolbook_multiply(BigDigits.from_int(x), BigDigits.from_int(y))
+        assert p.to_int() == x * y
 
 
 def test_bigint_multiply_examples():
@@ -334,10 +333,12 @@ def test_select_moduli():
 
 
 def test_bigint_base_fallback_hint():
-    # beyond base-256 capacity the error suggests remediation
+    # bytes exceed the registry's capacity at 12000 digits; bigint_multiply
+    # falls back to narrower fields by itself
     a = BigDigits.from_int(10 ** 12000)
+    n = modular.next_power_of_two(2 * len(a.digits))
     with pytest.raises(BoundExceeded):
-        bigint_multiply(a, a)
-    # a smaller base fits the same operands in the registry's capacity
-    a8 = BigDigits.from_int(10 ** 12000, base=8)
-    assert bigint_multiply(a8, a8).to_int() == 10 ** 24000
+        select_moduli(n, n * 255 * 255)
+    assert bigint_multiply(a, a).to_int() == 10 ** 24000
+    b = BigDigits.from_int(-(3 ** 25000))
+    assert bigint_multiply(a, b).to_int() == -(10 ** 12000) * 3 ** 25000

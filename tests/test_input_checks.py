@@ -71,7 +71,7 @@ def test_big_digits_keep_a_tuple():
     assert BigDigits([5]) == BigDigits((5,))
     assert hash(BigDigits([5])) == hash(BigDigits((5,)))
     with pytest.raises(BadInput, match="zero must be nonnegative"):
-        BigDigits([0], 256, True)
+        BigDigits([0], True)
 
 
 def test_integer_entries_are_still_accepted():

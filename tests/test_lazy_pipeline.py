@@ -1,7 +1,7 @@
 """Lazy-reduction butterflies at the int64 edge, the per-plan reduction
 schedule, the array-backed ResidueSequence, the Garner CRT combine on
-both sides of 2**63, vectorized spectral division and the split-based
-BigDigits conversions."""
+both sides of 2**63, vectorized spectral division and the byte
+conversions of BigDigits."""
 
 import pickle
 import random
@@ -90,7 +90,7 @@ def test_edge_prime_shift_kernel_matches_mul(n, m):
 
 def check_schedule(plan):
     """Walk the fast path's entry bound stage by stage, independently of
-    build_plan: entries lie in [0, bound); the twiddle product needs
+    build_plan: entry magnitudes lie below bound; the twiddle product needs
     bound*(m-1) < 2**63; a stage adds m to the bound; a scheduled stage
     starts from [0, m).  Every scheduled reduction must be needed."""
     m = plan.modulus
@@ -244,36 +244,38 @@ def test_deconvolve_reports_first_of_several_null_bins():
 # -- BigDigits conversions ---------------------------------------------------------
 
 
-def loop_from_int(value, base):
-    """The one-divmod-per-digit conversion the split path replaced."""
+def loop_from_int(value):
+    """Little-endian bytes of |value|, one divmod per byte."""
     digits = []
     value = abs(value)
     while True:
-        value, d = divmod(value, base)
+        value, d = divmod(value, 256)
         digits.append(d)
         if value == 0:
             return tuple(digits)
 
 
-def loop_to_int(digits, base):
+def loop_to_int(digits):
     value = 0
     for d in reversed(digits):
-        value = value * base + d
+        value = value * 256 + d
     return value
 
 
-@pytest.mark.parametrize("base", [2, 3, 10, 256, 2**16])
+# sample values are powers of ``radix`` and their neighbours: byte-aligned
+# edges for 2, 256 and 2**16, unaligned ones for 3 and 10
+@pytest.mark.parametrize("radix", [2, 3, 10, 256, 2**16])
 @pytest.mark.parametrize("count", [0, 1, 33, 63, 64, 65, 200, 1500])
-def test_bigdigits_split_conversion_matches_loop(base, count):
-    rnd = random.Random(base * 10007 + count)
-    samples = [0, base**count - 1, base**count, rnd.randrange(base**count) if count else 0]
+def test_bigdigits_split_conversion_matches_loop(radix, count):
+    rnd = random.Random(radix * 10007 + count)
+    samples = [0, radix**count - 1, radix**count, rnd.randrange(radix**count) if count else 0]
     for value in samples:
         for signed in (value, -value):
-            got = BigDigits.from_int(signed, base)
-            assert got.digits == loop_from_int(signed, base)
+            got = BigDigits.from_int(signed)
+            assert got.digits == loop_from_int(signed)
             assert got.negative == (signed < 0)
             assert got.to_int() == signed
-            assert loop_to_int(got.digits, base) == abs(signed)
+            assert loop_to_int(got.digits) == abs(signed)
 
 
 def test_bigdigits_from_numpy_integer():

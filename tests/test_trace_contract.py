@@ -59,9 +59,8 @@ def test_deconvolve_calls(calls):
     assert calls == Counter(forward_fast=2, inverse_fast=1, reduce=2, build_plan=1)
 
 
-@pytest.mark.parametrize("base", [256, 10])
-def test_bigint_multiply_calls_convolve_crt_once(calls, base):
-    a = BigDigits.from_int(3**4000, base)
+def test_bigint_multiply_calls_convolve_crt_once(calls):
+    a = BigDigits.from_int(3**4000)
     product = convolution.bigint_multiply(a, a)
     assert product.to_int() == 3**8000
     assert calls["select_moduli"] == 1
