@@ -59,8 +59,14 @@ def test_deconvolve_calls(calls):
     assert calls == Counter(forward_fast=2, inverse_fast=1, reduce=2, build_plan=1)
 
 
-def test_bigint_multiply_calls_convolve_crt_once(calls):
-    a = BigDigits.from_int(3**4000)
+# The operand arrives as an int (bytes, base 256) or as decimal text (base
+# 10); either way it is bytes by the time bigint_multiply sees it.
+OPERAND = {256: lambda n: BigDigits.from_int(n), 10: lambda n: BigDigits.from_decimal(str(n))}
+
+
+@pytest.mark.parametrize("base", [256, 10])
+def test_bigint_multiply_calls_convolve_crt_once(calls, base):
+    a = OPERAND[base](3**4000)
     product = convolution.bigint_multiply(a, a)
     assert product.to_int() == 3**8000
     assert calls["select_moduli"] == 1
