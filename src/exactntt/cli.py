@@ -115,11 +115,11 @@ def _write_result(path: str | None, values: list[int], json_mode: bool) -> None:
 
 
 def _parse_length(text: str) -> int:
-    """Accept plain integers and the shorthand 2^k."""
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
-    return int(text)
+    """Accept plain integers and the shorthand 2^k with k >= 0."""
+    base, caret, exp = text.partition("^")
+    if caret and int(exp) < 0:
+        raise argparse.ArgumentTypeError(f"negative exponent in {text!r}")
+    return int(base) ** int(exp) if caret else int(base)
 
 
 # -- convolve ------------------------------------------------------------

@@ -261,79 +261,76 @@ def _format_digits(value: int, limit: int) -> str:
     return _format_digits(high, limit) + _format_digits(low, limit).zfill(k)
 
 
-def _int_to_bytes(value: int) -> bytes:
-    """Little-endian bytes of value >= 0, at least one."""
-    return value.to_bytes(max(1, (value.bit_length() + 7) // 8), "little")
-
-
 @dataclass(frozen=True)
 class BigDigits:
-    """Arbitrary-precision integer as its little-endian bytes and a sign.
+    """Arbitrary-precision integer, held as its Python int.
 
-    ``digits`` are the magnitude's bytes, lowest first, so from_int and
-    to_int (and through them the decimal I/O) are int.to_bytes and
-    int.from_bytes.  Canonical form: no trailing zero byte except the
-    single-byte zero, which is nonnegative.
+    Every int is canonical, so the one check is that ``value`` is an
+    integer.  ``digits`` are the magnitude's little-endian bytes, lowest
+    first: the digit vector bigint_multiply convolves.
     """
 
-    digits: tuple[int, ...]
-    negative: bool = False
+    value: int
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if not self.digits:
-            raise BadInput("digit vector must not be empty (zero is (0,))")
-        if min(self.digits) < 0 or max(self.digits) > 255:
-            raise BadInput("digits must be bytes, in [0, 256)")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
-            raise BadInput("non-canonical digit vector: trailing zero digit")
-        if self.is_zero() and self.negative:
-            raise BadInput("zero must be nonnegative")
+        try:
+            object.__setattr__(self, "value", operator.index(self.value))
+        except TypeError:
+            raise BadInput(f"not an integer: {self.value!r}") from None
+
+    def __repr__(self) -> str:
+        # hex, because repr(int) raises above sys.get_int_max_str_digits()
+        return f"BigDigits({self.value:#x})"
+
+    @property
+    def digits(self) -> bytes:
+        magnitude = abs(self.value)
+        return magnitude.to_bytes(max(1, (magnitude.bit_length() + 7) // 8), "little")
+
+    @property
+    def negative(self) -> bool:
+        return self.value < 0
 
     def is_zero(self) -> bool:
-        return self.digits == (0,)
+        return self.value == 0
 
     @classmethod
     def from_int(cls, value: int) -> "BigDigits":
-        value = operator.index(value)
-        return cls(tuple(_int_to_bytes(abs(value))), value < 0)
+        return cls(value)
 
     def to_int(self) -> int:
-        value = int.from_bytes(bytes(self.digits), "little")
-        return -value if self.negative else value
+        return self.value
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigDigits":
         text = text.strip()
-        sign = 1
+        sign = -1 if text.startswith("-") else 1
         if text.startswith(("+", "-")):
-            sign = -1 if text[0] == "-" else 1
             text = text[1:]
         if not (text.isascii() and text.isdigit()):
             raise BadInput(f"not a decimal integer: {text!r}")
         return cls.from_int(sign * _parse_digits(text, _str_digit_limit()))
 
     def to_decimal(self) -> str:
-        text = _format_digits(abs(self.to_int()), _str_digit_limit())
+        text = _format_digits(abs(self.value), _str_digit_limit())
         return "-" + text if self.negative else text
 
 
-def _carry_bytes(raw) -> bytes:
-    """_carry_propagate(raw) for nonnegative coefficients below 2**63.
+def _carry_bytes(raw: np.ndarray) -> int:
+    """sum(raw[i] * 256**i) for nonnegative int64 coefficients.
 
-    The carried value is sum(raw[i] * 256**i).  Split each coefficient
-    into its bytes: lane j holds byte j of every coefficient, and read as
-    one little-endian integer it is sum(byte_j(raw[i]) * 256**i), so the
+    The value of _carry_propagate's bytes.  Split each coefficient into
+    its bytes: lane j holds byte j of every coefficient, and read as one
+    little-endian integer it is sum(byte_j(raw[i]) * 256**i), so the
     value is the sum of the lanes shifted by 8*j bits; CPython does the
     carrying inside the additions.
     """
-    raw = np.asarray(raw, dtype=np.int64)
     value = 0
     top = int(raw.max())
     for j in range((top.bit_length() + 7) // 8):
         lane = ((raw >> 8 * j) & 255).astype(np.uint8)
         value += int.from_bytes(lane.tobytes(), "little") << 8 * j
-    return _int_to_bytes(value)
+    return value
 
 
 def _carry_propagate(raw) -> tuple[int, ...]:
@@ -358,10 +355,9 @@ def schoolbook_multiply(a: BigDigits, b: BigDigits) -> BigDigits:
     (O(n^2) work, sums below len * 255**2), then carries are resolved
     one coefficient at a time; no transform is involved.
     """
-    if a.is_zero() or b.is_zero():
-        return BigDigits((0,))
-    raw = np.convolve(np.array(a.digits, dtype=np.int64), np.array(b.digits, dtype=np.int64))
-    return BigDigits(_carry_propagate(raw.tolist()), a.negative != b.negative)
+    da, db = (np.frombuffer(x.digits, dtype=np.uint8).astype(np.int64) for x in (a, b))
+    value = int.from_bytes(bytes(_carry_propagate(np.convolve(da, db).tolist())), "little")
+    return BigDigits(-value if a.negative != b.negative else value)
 
 
 def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
@@ -398,12 +394,12 @@ def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
     raise BoundExceeded(message, need=bound, capacity=product)
 
 
-def _fields(x: BigDigits, bits: int, n: int) -> np.ndarray:
-    """The magnitude of x as n little-endian fields of ``bits`` bits, zero-padded.
+def _fields(digits: bytes, bits: int, n: int) -> np.ndarray:
+    """Little-endian ``digits`` as n fields of ``bits`` bits, zero-padded.
 
     ``bits`` divides 8: field j of byte i is field i*(8//bits) + j.
     """
-    lanes = np.frombuffer(bytes(x.digits), dtype=np.uint8)[:, None]
+    lanes = np.frombuffer(digits, dtype=np.uint8)[:, None]
     fields = (lanes >> np.arange(0, 8, bits, dtype=np.uint8)) & (2**bits - 1)
     out = np.zeros(n, dtype=np.int64)
     out[: fields.size] = fields.reshape(-1)
@@ -418,14 +414,15 @@ def bigint_multiply(a: BigDigits, b: BigDigits, registry=None) -> BigDigits:
     but shrink the coefficient bound about fourfold.  The fields are
     zero-padded to a power of two at least the sum of both field counts,
     so the cyclic convolution equals the linear one.  Its coefficients
-    are regrouped per byte and carried back to canonical bytes.
+    are regrouped per byte and carried into the product.
     """
     if a.is_zero() or b.is_zero():
-        return BigDigits((0,))
+        return BigDigits(0)
+    da, db = a.digits, b.digits
     for bits in (8, 4, 2):
         per_byte = 8 // bits
-        n = modular.next_power_of_two(per_byte * (len(a.digits) + len(b.digits)))
-        fa, fb = _fields(a, bits, n), _fields(b, bits, n)
+        n = modular.next_power_of_two(per_byte * (len(da) + len(db)))
+        fa, fb = _fields(da, bits, n), _fields(db, bits, n)
         try:
             moduli = select_moduli(n, _requirement(fa, fb)[0], registry)
             break
@@ -435,4 +432,5 @@ def bigint_multiply(a: BigDigits, b: BigDigits, registry=None) -> BigDigits:
     raw = np.asarray(convolve_crt(fa, fb, moduli), dtype=np.int64)
     # per-byte coefficients: each below 2**8 * n * (2**bits - 1)**2 < 2**63
     raw = raw.reshape(-1, per_byte) @ (1 << bits * np.arange(per_byte, dtype=np.int64))
-    return BigDigits(tuple(_carry_bytes(raw)), a.negative != b.negative)
+    value = _carry_bytes(raw)
+    return BigDigits(-value if a.negative != b.negative else value)

@@ -193,6 +193,8 @@ class ResidueSequence:
 
     def __array__(self, dtype=None, copy=None):
         if dtype is not None and dtype != self._array.dtype:
+            if copy is False:
+                raise ValueError(f"residues are {self._array.dtype}; {dtype} needs a copy")
             return self._array.astype(dtype)
         return self._array.copy() if copy else self._array
 

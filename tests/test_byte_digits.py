@@ -1,7 +1,7 @@
-"""BigDigits as bytes: digit split and join through int.to_bytes and
-int.from_bytes, checked against a divmod loop; the byte-lane carry,
-checked against the schoolbook oracle's carry loop; big-integer products
-at every field width, checked against int.__mul__."""
+"""The bytes of a BigDigits: its digits through int.to_bytes, checked
+against a divmod loop; the byte-lane carry, checked against the
+schoolbook oracle's carry loop; big-integer products at every field
+width, checked against int.__mul__."""
 
 import random
 import sys
@@ -65,10 +65,10 @@ def test_byte_round_trip(value):
 
 
 def test_byte_digits_are_ints_and_validated():
-    digits = BigDigits.from_int(2**70 + 5).digits
-    assert type(digits) is tuple and all(type(d) is int for d in digits)
-    assert BigDigits.from_int(np.int64(-300)).to_int() == -300
-    for bad in [(256,), (-1, 1), (1, 300, 2)]:
+    value = BigDigits.from_int(np.int64(-300)).value
+    assert type(value) is int and value == -300
+    assert BigDigits.from_int(2**70 + 5).digits == (2**70 + 5).to_bytes(9, "little")
+    for bad in [2.5, "5", (256,), None]:
         with pytest.raises(BadInput):
             BigDigits(bad)
 
@@ -84,8 +84,9 @@ def test_decimal_round_trip_under_default_limit(digits):
         assert sys.get_int_max_str_digits() == limit
 
 
-def carried_digits(raw):
-    return tuple(_carry_bytes(raw))
+def loop_value(raw):
+    """The value of the oracle's carry loop, read back from its bytes."""
+    return int.from_bytes(bytes(_carry_propagate(raw.tolist())), "little")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 1024, 4096])
@@ -93,18 +94,19 @@ def test_byte_carry_matches_loop_on_random_coefficients(n):
     rng = np.random.default_rng(n)
     for top in (1, 256, 255 * 255, n * 255 * 255):
         raw = rng.integers(0, top, size=n, endpoint=True)
-        assert carried_digits(raw) == _carry_propagate(raw.tolist())
-    zeros = [0] * n
-    assert carried_digits(zeros) == _carry_propagate(zeros) == (0,)
+        assert _carry_bytes(raw) == loop_value(raw)
+    zeros = np.zeros(n, dtype=np.int64)
+    assert _carry_bytes(zeros) == loop_value(zeros) == 0
+    assert _carry_propagate(zeros.tolist()) == (0,)
 
 
 def test_byte_carry_matches_loop_at_the_coefficient_ceiling():
     top = MAX_LENGTH * 255 * 255
     assert top < 2**35  # five byte lanes
     raw = np.full(MAX_LENGTH, top, dtype=np.int64)
-    digits = carried_digits(raw)
-    assert digits == _carry_propagate(raw.tolist())
-    assert int.from_bytes(bytes(digits), "little") == top * (256**MAX_LENGTH - 1) // 255
+    value = _carry_bytes(raw)
+    assert value == loop_value(raw)
+    assert value == top * (256**MAX_LENGTH - 1) // 255
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000, 2**16])
@@ -113,9 +115,9 @@ def test_byte_carry_matches_loop_on_the_longest_ripple(n):
     # runs from the lowest coefficient to the top
     k = np.arange(2 * n - 1)
     raw = (np.minimum(k, 2 * n - 2 - k) + 1) * 255 * 255
-    digits = carried_digits(raw)
-    assert digits == _carry_propagate(raw.tolist())
-    assert int.from_bytes(bytes(digits), "little") == (256**n - 1) ** 2
+    value = _carry_bytes(raw)
+    assert value == loop_value(raw)
+    assert value == (256**n - 1) ** 2
 
 
 def decimal_operand(rnd, digits):

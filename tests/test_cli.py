@@ -316,6 +316,16 @@ def test_dyadic_validate(capsys):
     assert run(["dyadic", "validate", "--length", 2, "--alpha", 5, "--beta", 4]) == 2
 
 
+def test_dyadic_validate_length_shorthand(capsys):
+    assert run(["dyadic", "validate", "--length", "2^1", "--alpha", 16, "--beta", 4]) == 0
+    assert "VALIDATED length=2" in capsys.readouterr().out
+    for bad in ("2^-1", "0^-1", "2^x"):
+        with pytest.raises(SystemExit) as info:
+            run(["dyadic", "validate", "--length", bad, "--alpha", 16, "--beta", 4])
+        assert info.value.code == 2
+        assert "argument --length" in capsys.readouterr().err
+
+
 def test_dyadic_convolve(tmp_path, capsys):
     write_seq(tmp_path / "f.txt", [3, 1])
     write_seq(tmp_path / "g.txt", [2, 5])

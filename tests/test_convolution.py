@@ -50,6 +50,7 @@ def test_convolve_direct_examples():
     delta = [1, 0, 0, 0]
     assert convolve_direct(delta, g) == g
     assert convolve_direct([1, 1], [1, -1]) == [0, 0]
+    assert convolve_direct([], []) == []
 
 
 def test_convolve_direct_matches_pure_loop():
@@ -239,19 +240,16 @@ def test_deconvolve_reports_first_bad_bin():
 
 
 def test_bigdigits_canonical_forms():
-    assert BigDigits.from_int(0).digits == (0,)
+    # every int is canonical: zero has one byte and no sign
+    assert BigDigits.from_int(0).digits == b"\x00"
     assert BigDigits.from_int(0).negative is False
-    assert BigDigits.from_int(-5).digits == (5,)
+    assert BigDigits(-0) == BigDigits(0)
+    assert BigDigits.from_int(-5).digits == b"\x05"
     assert BigDigits.from_int(-5).negative is True
-    assert BigDigits.from_int(0x040008).digits == (8, 0, 4)
-    with pytest.raises(BadInput):
-        BigDigits((1, 0))  # trailing zero
-    with pytest.raises(BadInput):
-        BigDigits((256,))
-    with pytest.raises(BadInput):
-        BigDigits(())
-    with pytest.raises(BadInput):
-        BigDigits((0,), negative=True)
+    assert BigDigits.from_int(0x040008).digits == bytes((8, 0, 4))
+    for bad in [(1, 0), (256,), (), 1.0]:
+        with pytest.raises(BadInput):
+            BigDigits(bad)
 
 
 @given(st.integers(-(10**30), 10**30))

@@ -1,5 +1,5 @@
 """Sequence entries must be integers (no silent truncation of floats),
-sequences must be one-dimensional, digit vectors are tuples, and an
+sequences must be one-dimensional, a big integer is an int, and an
 empty registry holds no modulus (no fallback to the built-in table)."""
 
 from fractions import Fraction
@@ -66,12 +66,20 @@ def test_integer_arrays_of_other_rank_raise_bad_input(call, rank):
         call()
 
 
-def test_big_digits_keep_a_tuple():
-    assert isinstance(BigDigits([1, 2]).digits, tuple)
-    assert BigDigits([5]) == BigDigits((5,))
-    assert hash(BigDigits([5])) == hash(BigDigits((5,)))
-    with pytest.raises(BadInput, match="zero must be nonnegative"):
-        BigDigits([0], True)
+def test_big_digits_hold_an_int():
+    assert type(BigDigits(np.int64(5)).value) is int
+    assert BigDigits(np.int64(5)) == BigDigits(5)
+    assert hash(BigDigits(np.int64(5))) == hash(BigDigits(5))
+    for bad in [2.5, Fraction(5), "5", [5]]:
+        with pytest.raises(BadInput, match="not an integer"):
+            BigDigits(bad)
+
+
+def test_big_digits_repr_evals_back_beyond_the_str_digit_limit():
+    value = -(10**4999 + 7)  # 5000 digits
+    got = repr(BigDigits(value))
+    assert got.startswith("BigDigits(-0x")
+    assert eval(got, {"BigDigits": BigDigits}) == BigDigits(value)
 
 
 def test_integer_entries_are_still_accepted():

@@ -272,7 +272,7 @@ def test_bigdigits_split_conversion_matches_loop(radix, count):
     for value in samples:
         for signed in (value, -value):
             got = BigDigits.from_int(signed)
-            assert got.digits == loop_from_int(signed)
+            assert tuple(got.digits) == loop_from_int(signed)
             assert got.negative == (signed < 0)
             assert got.to_int() == signed
             assert loop_to_int(got.digits) == abs(signed)

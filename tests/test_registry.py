@@ -119,6 +119,22 @@ def test_verify_fermat_factor_inconsistent_length_claim():
         registry.verify_fermat_factor(registry.RaderModulus(641, 5, 96))
 
 
+def test_verify_fermat_factor_length_clause():
+    # 2^0 == 1 passes the order clauses vacuously; only the length clause fails
+    with pytest.raises(VerificationFailed, match="n_max 0") as info:
+        registry.verify_fermat_factor(registry.RaderModulus(641, 5, 0))
+    assert info.value.clause == "length"
+
+
+def test_registry_entry_above_the_int64_range_is_rejected():
+    # 5*2^39 + 1 divides F_36, but above 2^31 a product of two residues overflows int64
+    entry = registry.RaderModulus(5 * 2**39 + 1, 36, 2**37)
+    assert registry.verify_fermat_factor(entry)
+    with pytest.raises(VerificationFailed, match="unsupported") as info:
+        registry.validate_registry_entry(entry)
+    assert info.value.clause == "range"
+
+
 # -- mersenne factor table ----------------------------------------------------
 
 

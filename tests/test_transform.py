@@ -142,6 +142,13 @@ def test_plan_rejects_inconsistent_claims():
         build_plan(128, fake)
 
 
+def test_plan_rejects_a_root_that_does_not_return_to_one():
+    # half the true order 64: 2 has no smaller order, but 2^32 == -1 mod 641
+    with pytest.raises(VerificationFailed, match="does not return to 1") as info:
+        build_plan(32, registry.RaderModulus(641, 5, 32))
+    assert info.value.clause == "order"
+
+
 def test_plan_orthogonality_sums():
     for n, m in ((3, 7), (4, 5), (64, 641), (16, 2424833)):
         plan = build_plan(n, m)
@@ -313,6 +320,21 @@ def test_library_results_are_wrapped_read_only():
     arr = np.array([1, 2], dtype=np.int64)
     assert np.asarray(ResidueSequence._wrap(arr, 5)) is arr  # no copy
     assert not arr.flags.writeable
+
+
+def test_array_conversion_keeps_the_copy_contract():
+    arr = np.array([1, 2, 3], dtype=np.int64)
+    seq = ResidueSequence._wrap(arr, 7)
+    # same dtype: a view unless a copy is asked for
+    assert np.asarray(seq, copy=False) is arr
+    assert np.asarray(seq, dtype=np.int64, copy=False) is arr
+    copied = np.array(seq, copy=True)
+    assert copied is not arr and copied.flags.writeable
+    # a dtype change needs a copy: allowed by default, refused under copy=False
+    as_float = np.asarray(seq, dtype=np.float64)
+    assert as_float.dtype == np.float64 and as_float.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match="needs a copy"):
+        np.asarray(seq, dtype=np.float64, copy=False)
 
 
 @given(st.integers(0, 640), st.integers(0, 640), st.integers(0, 640), st.integers(0, 640))
