@@ -39,14 +39,14 @@ def main() -> int:
             continue  # headroom cannot hold even for zero-bit data
         for a in range(1, top + 1, 2):
             plan = build_dyadic_plan(n, args.alpha, 0, a)
-            verdicts[plan.status] += 1
+            verdicts[plan.validated] += 1
             if plan.validated:
                 validated.append((a, n))
             elif plan.witness is not None:
                 rejections.append((a, n, plan.witness))
 
-    print(f"alpha = {args.alpha}: {verdicts['validated']} validated, "
-          f"{verdicts['rejected']} rejected")
+    print(f"alpha = {args.alpha}: {verdicts[True]} validated, "
+          f"{verdicts[False]} rejected")
     print("validated (root, length):")
     for a, n in validated:
         marker = "  <- negation root" if a == (1 << args.alpha) - 1 else ""

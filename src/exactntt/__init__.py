@@ -37,7 +37,6 @@ from .modular import (
     totient,
 )
 from .registry import (
-    FermatNumber,
     RaderModulus,
     builtin_rader_primes,
     fermat_number,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BigDigits",
     "DyadicPlan",
-    "FermatNumber",
     "RaderModulus",
     "ResidueSequence",
     "TransformPlan",

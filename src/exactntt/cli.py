@@ -41,12 +41,12 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def read_sequence_file(path: str, json_mode: bool = False) -> tuple[list[int], int | None]:
-    """Parse a sequence file; returns (values, declared_bound).
+def read_sequence_file(path: str, json_mode: bool = False) -> list[int]:
+    """Parse a sequence file into its values.
 
     Text format: header line "N" or "N B_max", then one signed decimal
     per line; '#' starts a comment.  JSON format: object with "length",
-    "values" and optional "bound".
+    "values" and optional "bound".  A declared bound is checked, not kept.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -87,20 +87,14 @@ def read_sequence_file(path: str, json_mode: bool = False) -> tuple[list[int], i
         worst = max((abs(v) for v in values), default=0)
         if worst > bound:
             raise NttError(f"{path}: value magnitude {worst} exceeds declared bound {bound}")
-    return values, bound
+    return values
 
 
-def write_sequence(stream, values: list[int], json_mode: bool = False, bound: int | None = None) -> None:
+def write_sequence(stream, values: list[int], json_mode: bool = False) -> None:
     if json_mode:
-        obj = {"length": len(values), "values": list(values)}
-        if bound is not None:
-            obj["bound"] = bound
-        stream.write(json.dumps(obj) + "\n")
+        stream.write(json.dumps({"length": len(values), "values": list(values)}) + "\n")
     else:
-        if bound is not None:
-            stream.write(f"{len(values)} {bound}\n")
-        else:
-            stream.write(f"{len(values)}\n")
+        stream.write(f"{len(values)}\n")
         for v in values:
             stream.write(f"{v}\n")
 
@@ -138,8 +132,8 @@ def cmd_convolve(args) -> int:
         return EXIT_OK
     if not args.f or not args.g:
         raise NttError("convolve needs two sequence files (or --self-test)")
-    f, _ = read_sequence_file(args.f, args.json)  # a header B_max is checked there
-    g, _ = read_sequence_file(args.g, args.json)
+    f = read_sequence_file(args.f, args.json)  # a header B_max is checked there
+    g = read_sequence_file(args.g, args.json)
     f, g = convolution._equal_length(f, g)  # before any moduli are chosen
     n = len(f)
     need, signed = convolution._requirement(f, g)
@@ -292,8 +286,8 @@ def cmd_dyadic_validate(args) -> int:
 
 
 def cmd_dyadic_convolve(args) -> int:
-    f, _ = read_sequence_file(args.f, args.json)
-    g, _ = read_sequence_file(args.g, args.json)
+    f = read_sequence_file(args.f, args.json)
+    g = read_sequence_file(args.g, args.json)
     plan = _build_dyadic_plan_from_args(len(f), args)
     if not plan.validated:
         _diag(f"plan rejected: {plan.reason}")

@@ -34,8 +34,6 @@ from .transform import (
     inverse_fast,
 )
 
-_NP_EXACT_LIMIT = 2**62
-
 
 @lru_cache(maxsize=32)
 def _plan(length: int, modulus):
@@ -82,15 +80,15 @@ def convolve_direct(f, g) -> list[int]:
 
     Exact integers in, exact integers out; this is the reference the
     transform paths are measured against.  One linear convolution folded
-    to cyclic, on int64 when the coefficient bound provably fits it,
-    else on object arrays of Python ints (exact at any size).
+    to cyclic, on int64 while its partial sums, at most N*Bf*Bg, stay
+    below 2**63, else on object arrays of Python ints (exact at any size).
     """
     f, g = _equal_length(f, g)
     n = len(f)
     if n == 0:
         return []
     (bf, _), (bg, _) = _scan(f), _scan(g)
-    dtype = np.int64 if max(bf, bg, n * bf * bg) < _NP_EXACT_LIMIT else object
+    dtype = np.int64 if max(bf, bg, n * bf * bg) < INT64_LIMIT else object
     lin = np.convolve(f.astype(dtype, copy=False), g.astype(dtype, copy=False))
     out = lin[:n].copy()
     out[: n - 1] += lin[n:]
@@ -115,15 +113,17 @@ def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
     """The unique x in [0, prod(moduli)) with x == residues[i] mod moduli[i].
 
     Garner's mixed-radix digits a_i < m_i, then x = a_0 + m_0*(a_1 + m_1*(...)).
-    The digits are int64, their arithmetic below m_i * max(m_j) < 2**62;
-    x is int64 when the product of the moduli is below 2**63, Python
-    ints (object dtype) otherwise.
+    The digits are int64: a step multiplies t - a, of magnitude below
+    2**31, by an inverse below m_i, so the product stays below 2**62 and
+    one floor reduction lands it in [0, m_i).  x is int64 when the
+    product of the moduli is below 2**63, Python ints (object dtype)
+    otherwise.
     """
     dtype = np.int64 if prod(moduli) < INT64_LIMIT else object
     digits = []
     for t, mi in zip(residues, moduli):
         for a, mj in zip(digits, moduli):
-            t = _mod(_mod(t - a, mi) * modular.mod_inverse(mj, mi), mi)
+            t = _mod((t - a) * modular.mod_inverse(mj, mi), mi)
         digits.append(t)
     x = digits[-1].astype(dtype, copy=False)
     for a, mj in zip(digits[-2::-1], moduli[-2::-1]):

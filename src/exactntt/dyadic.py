@@ -22,9 +22,6 @@ from .errors import (
     NormalizationWrap,
 )
 
-VALIDATED = "validated"
-REJECTED = "rejected"
-
 
 def verify_carmichael_dyadic(a: int, alpha: int) -> bool:
     """Executable witness that a**(2**(alpha-2)) == 1 (mod 2**alpha).
@@ -43,23 +40,23 @@ def verify_carmichael_dyadic(a: int, alpha: int) -> bool:
 class DyadicPlan:
     """A (root, length) pair over 2**alpha words with a validation verdict.
 
-    ``root_powers[j]`` is root**j truncated to alpha bits.  Transforms
-    accept only validated plans; a rejected plan keeps the failing
-    (k, sum) witness in ``witness`` for inspection.
+    ``root_powers[j]`` is root**j truncated to alpha bits.  A plan is
+    validated when it has no rejection ``reason``; transforms accept only
+    those.  A rejected plan keeps the failing (k, sum) witness of an
+    orthogonality failure in ``witness`` for inspection.
     """
 
     alpha: int
     length: int
     root: int
     data_bits: int
-    status: str
     reason: str | None
     witness: tuple[int, int] | None
     root_powers: tuple[int, ...]
 
     @property
     def validated(self) -> bool:
-        return self.status == VALIDATED
+        return self.reason is None
 
     @property
     def mask(self) -> int:
@@ -92,9 +89,7 @@ def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPl
     root &= mask
 
     def rejected(reason, witness=None):
-        return DyadicPlan(
-            alpha, length, root, beta, REJECTED, reason, witness, tuple(powers)
-        )
+        return DyadicPlan(alpha, length, root, beta, reason, witness, tuple(powers))
 
     powers = [1]
     w = 1
@@ -117,7 +112,7 @@ def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPl
                 f"orthogonality fails at k={k}: sum == {total} != 0",
                 witness=(k, total),
             )
-    return DyadicPlan(alpha, length, root, beta, VALIDATED, None, None, tuple(powers))
+    return DyadicPlan(alpha, length, root, beta, None, None, tuple(powers))
 
 
 def _require_validated(plan: DyadicPlan) -> None:

@@ -1,11 +1,12 @@
 """Exact residue arithmetic kernels.
 
-All functions work on plain Python integers, so every product is exact at
-any size; the documented guarantee is exactness for moduli below 2**31,
-which is also what the vectorized transform paths are audited for.
-Results are always canonical residues in [0, m).
+All functions work on plain Python integers, so every product is exact
+for moduli of any size; the 2**31 bound on moduli belongs to the int64
+transform paths, not to these functions.  Results are always canonical
+residues in [0, m).
 """
 
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
@@ -22,11 +23,20 @@ class ExtGcdResult:
     y: int
 
 
-def mod_reduce(a: int, m: int) -> int:
-    """Canonical residue of a modulo m, nonnegative for any signed a."""
+def _modulus(m) -> int:
+    """m as an int >= 2, taken through __index__: a float or str raises BadInput."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise BadInput(f"modulus must be an integer, got {m!r}") from None
     if m < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
-    return a % m
+    return m
+
+
+def mod_reduce(a: int, m: int) -> int:
+    """Canonical residue of a modulo m, nonnegative for any signed a."""
+    return a % _modulus(m)
 
 
 def ext_gcd(a: int, b: int) -> ExtGcdResult:
@@ -52,8 +62,7 @@ def ext_gcd(a: int, b: int) -> ExtGcdResult:
 
 def mod_inverse(b: int, m: int) -> int:
     """Inverse of b modulo m, i.e. the residue i with b*i == 1 (mod m)."""
-    if m < 2:
-        raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
+    m = _modulus(m)
     b = b % m
     res = ext_gcd(b, m)
     if res.g != 1:
@@ -63,8 +72,7 @@ def mod_inverse(b: int, m: int) -> int:
 
 def mod_pow(base: int, exp: int, m: int) -> int:
     """base**exp mod m in O(log exp) multiplications."""
-    if m < 2:
-        raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
+    m = _modulus(m)
     if exp < 0:
         raise BadInput("negative exponent; invert the base explicitly")
     return pow(base, exp, m)
@@ -132,8 +140,7 @@ def multiplicative_order(a: int, m: int) -> int:
     Carmichael-divisor search: factor lambda(m), then peel primes off it
     while the power stays 1.
     """
-    if m < 2:
-        raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
+    m = _modulus(m)
     a = a % m
     if gcd(a, m) != 1:
         raise NotInvertible(f"order undefined: gcd({a}, {m}) != 1")
@@ -154,8 +161,7 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
         raise BadInput("crt_combine needs at least one (residue, modulus) pair")
     x, m = 0, 1
     for r, mi in residues:
-        if mi < 2:
-            raise ModulusTooSmall(f"modulus must be >= 2, got {mi}")
+        mi = _modulus(mi)
         g = gcd(m, mi)
         if g != 1:
             raise ModuliNotCoprime(f"moduli share factor {g}")

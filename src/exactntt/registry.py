@@ -50,32 +50,19 @@ class RaderModulus:
         return n >= 1 and self.n_max % n == 0
 
 
-@dataclass(frozen=True)
-class FermatNumber:
-    """F_n = 2^(2^n) + 1, materialized exactly."""
-
-    index: int
-    value: int
-
-
-def fermat_number(n: int) -> FermatNumber:
-    """Exact F_n for n <= MAX_MATERIALIZED_INDEX."""
-    if n < 0 or n > MAX_MATERIALIZED_INDEX:
-        raise IndexTooLarge(
-            f"Fermat number index {n} outside materialized range "
-            f"[0, {MAX_MATERIALIZED_INDEX}]"
-        )
-    return FermatNumber(n, (1 << (1 << n)) + 1)
-
-
 def rader_number(n: int) -> int:
     """2^(2^n) - 1: the Mersenne number whose factors are F_0..F_{n-1}."""
     if n < 0 or n > MAX_MATERIALIZED_INDEX:
         raise IndexTooLarge(
-            f"Rader number index {n} outside materialized range "
+            f"Fermat/Rader number index {n} outside materialized range "
             f"[0, {MAX_MATERIALIZED_INDEX}]"
         )
     return (1 << (1 << n)) - 1
+
+
+def fermat_number(n: int) -> int:
+    """Exact F_n = 2^(2^n) + 1 for 0 <= n <= MAX_MATERIALIZED_INDEX."""
+    return rader_number(n) + 2
 
 
 def verify_fermat_product_identity(n: int) -> bool:
@@ -84,8 +71,8 @@ def verify_fermat_product_identity(n: int) -> bool:
         raise IndexTooLarge(f"identity check supported for 1 <= n <= {MAX_MATERIALIZED_INDEX}")
     product = 1
     for j in range(n):
-        product *= fermat_number(j).value
-    return product == fermat_number(n).value - 2
+        product *= fermat_number(j)
+    return product == fermat_number(n) - 2
 
 
 def _euler_form_exponent(fermat_index: int) -> int:

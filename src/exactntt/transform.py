@@ -73,8 +73,7 @@ def shift_mul(x: int, alpha: int, m: int) -> int:
     bits than x, so reduce exponents by the root-2 order of m before
     calling in bulk.
     """
-    if m < 2:
-        raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
+    m = modular._modulus(m)
     if alpha < 0:
         raise BadInput("negative shift")
     return (x << alpha) % m
@@ -143,8 +142,7 @@ class ResidueSequence:
     __slots__ = ("_array", "modulus", "_values")
 
     def __init__(self, values, modulus: int):
-        if modulus < 2:
-            raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
+        modulus = modular._modulus(modulus)
         try:
             arr = np.array(int_array(values), dtype=_residue_dtype(modulus))
         except OverflowError:
@@ -177,8 +175,7 @@ class ResidueSequence:
         int64 input is reduced as an array; entries beyond int64 are
         reduced exactly as Python ints.
         """
-        if modulus < 2:
-            raise ModulusTooSmall(f"modulus must be >= 2, got {modulus}")
+        modulus = modular._modulus(modulus)
         arr = int_array(values)
         dtype = _residue_dtype(modulus)
         if arr.dtype == np.int64 and dtype is np.int64:
@@ -232,20 +229,20 @@ class ResidueSequence:
 class TransformPlan:
     """Validated (length, modulus, root) triple with its read-only twiddles.
 
-    The working root is 2**root_step where root_step = order // length;
-    twiddles[j] = 2**(root_step * j) mod modulus, as a read-only int64
-    array.  n_inverse undoes the length factor in the inverse transform.
-    reduction_stages lists the fast-path stages (0 for the first, which
-    makes transforms of length 2) before which the lazy butterflies must
-    reduce the array to [0, m) to keep int64 exact.  build_plan fills the
-    twiddles once and nothing is cached later, so plans are immutable and
-    safe to share across threads.  The twiddles follow from (length,
-    modulus, root_step) and take no part in equality or hashing.
+    The working root is 2**root_step, where root_step * length is the
+    root-2 order of modulus; twiddles[j] = 2**(root_step * j) mod
+    modulus, as a read-only int64 array.  n_inverse undoes the length
+    factor in the inverse transform.  reduction_stages lists the
+    fast-path stages (0 for the first, which makes transforms of length
+    2) before which the lazy butterflies must reduce the array to [0, m)
+    to keep int64 exact.  build_plan fills the twiddles once and nothing
+    is cached later, so plans are immutable and safe to share across
+    threads.  The twiddles follow from (length, modulus, root_step) and
+    take no part in equality or hashing.
     """
 
     length: int
     modulus: int
-    order: int
     root_step: int
     kernel: str
     n_inverse: int
@@ -262,7 +259,7 @@ def _resolve_modulus(modulus) -> tuple[int, int]:
     if isinstance(modulus, RaderModulus):
         m, order = modulus.prime, modulus.n_max
     else:
-        m, order = int(modulus), None
+        m, order = modular._modulus(modulus), None
     if m < 3:
         raise ModulusTooSmall(f"transform modulus must be an odd prime >= 3, got {m}")
     if m >= MAX_MODULUS:
@@ -328,6 +325,10 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     if kernel not in KERNELS:
         raise BadInput(f"kernel must be one of {KERNELS}, got {kernel!r}")
     m, order = _resolve_modulus(modulus)
+    try:
+        length = operator.index(length)
+    except TypeError:
+        raise BadInput(f"length must be an integer, got {length!r}") from None
     if length < 1:
         raise InvalidLength(f"length must be >= 1, got {length}")
     if order % length != 0:
@@ -363,7 +364,6 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     return TransformPlan(
         length=length,
         modulus=m,
-        order=order,
         root_step=step,
         kernel=kernel,
         n_inverse=n_inverse,

@@ -78,8 +78,8 @@ def test_criterion_2_fermat_product_identity():
     for n in range(1, 7):
         product = 1
         for j in range(n):
-            product *= registry.fermat_number(j).value
-        assert product == registry.fermat_number(n).value - 2
+            product *= registry.fermat_number(j)
+        assert product == registry.fermat_number(n) - 2
         assert registry.verify_fermat_product_identity(n)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1e-3

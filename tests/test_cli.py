@@ -9,9 +9,9 @@ from exactntt.errors import NttError
 from exactntt.registry import ENV_REGISTRY
 
 
-def write_seq(path, values, bound=None, json_mode=False):
+def write_seq(path, values, json_mode=False):
     with open(path, "w") as fh:
-        cli.write_sequence(fh, values, json_mode=json_mode, bound=bound)
+        cli.write_sequence(fh, values, json_mode=json_mode)
 
 
 def run(args):
@@ -26,10 +26,13 @@ def run(args):
 def test_sequence_file_round_trip(tmp_path, json_mode, bound):
     path = tmp_path / ("seq.json" if json_mode else "seq.txt")
     values = [0, -7, 99, 3]
-    write_seq(path, values, bound=bound, json_mode=json_mode)
-    back, declared = cli.read_sequence_file(str(path), json_mode)
-    assert back == values
-    assert declared == bound
+    write_seq(path, values, json_mode=json_mode)
+    if bound is not None:  # the writer declares none; a declared one is checked on read
+        if json_mode:
+            path.write_text(json.dumps({**json.loads(path.read_text()), "bound": bound}))
+        else:
+            path.write_text(path.read_text().replace("4\n", f"4 {bound}\n", 1))
+    assert cli.read_sequence_file(str(path), json_mode) == values
 
 
 def test_sequence_file_validation(tmp_path):
@@ -66,8 +69,24 @@ def test_json_header_must_be_integers(tmp_path, obj):
 def test_sequence_file_comments_and_header_bound(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("# comment\n2 10\n5  # inline comment\n-10\n")
-    values, bound = cli.read_sequence_file(str(path), False)
-    assert values == [5, -10] and bound == 10
+    assert cli.read_sequence_file(str(path), False) == [5, -10]
+    path.write_text("# comment\n2 9\n5  # inline comment\n-10\n")
+    with pytest.raises(NttError, match="exceeds declared bound 9"):
+        cli.read_sequence_file(str(path), False)
+
+
+@pytest.mark.parametrize(
+    "text, json_mode, message",
+    [("{not json", True, "bad JSON sequence file"), ("2\n1\nx\n", False, "non-integer entry")],
+    ids=["json", "text"],
+)
+def test_unparsable_sequence_files_exit_2(tmp_path, capsys, text, json_mode, message):
+    path = tmp_path / "seq"
+    path.write_text(text)
+    with pytest.raises(NttError, match=message):
+        cli.read_sequence_file(str(path), json_mode)
+    assert run(["convolve", path, path, *(["--json"] if json_mode else [])]) == 2
+    assert message in capsys.readouterr().err
 
 
 # -- convolve ------------------------------------------------------------------
@@ -80,8 +99,7 @@ def test_convolve_explicit_modulus(tmp_path, capsys):
     out = tmp_path / "h.txt"
     code = run(["convolve", tmp_path / "f.txt", tmp_path / "g.txt", "--modulus", 641, "--out", out])
     assert code == 0
-    values, _ = cli.read_sequence_file(str(out), False)
-    assert values == convolve_direct(f, g)
+    assert cli.read_sequence_file(str(out), False) == convolve_direct(f, g)
 
 
 def test_convolve_auto_stdout_and_diagnostics(tmp_path, capsys):
@@ -132,6 +150,20 @@ def test_convolve_shared_moduli_fail_before_audit(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "shares factor" in err and "bound audit" not in err
+
+
+def test_convolve_needs_two_files(capsys):
+    assert run(["convolve"]) == 2
+    assert "needs two sequence files" in capsys.readouterr().err
+
+
+def test_convolve_registry_row_failing_verification_exits_1(tmp_path, capsys):
+    reg = tmp_path / "reg.txt"
+    reg.write_text("341 5 64\n")
+    write_seq(tmp_path / "f.txt", [1, 1, 0, 0])
+    write_seq(tmp_path / "g.txt", [1, 0, 1, 0])
+    assert run(["convolve", tmp_path / "f.txt", tmp_path / "g.txt", "--registry", reg]) == 1
+    assert "341 is not prime" in capsys.readouterr().err
 
 
 def test_convolve_length_mismatch_fails_before_audit(tmp_path, capsys):
@@ -336,3 +368,15 @@ def test_dyadic_convolve(tmp_path, capsys):
     assert code == 0
     got = [int(v) for v in capsys.readouterr().out.split()[1:]]
     assert got == [11, 17]
+
+
+def test_dyadic_convolve_refuses_a_rejected_plan(tmp_path, capsys):
+    write_seq(tmp_path / "f.txt", [3, 1])
+    write_seq(tmp_path / "g.txt", [2, 5])
+    code = run([
+        "dyadic", "convolve", tmp_path / "f.txt", tmp_path / "g.txt",
+        "--alpha", 16, "--beta", 4, "--root", 3,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "plan rejected: root**2 != 1" in captured.err and captured.out == ""

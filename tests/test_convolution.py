@@ -69,6 +69,14 @@ def test_convolve_direct_huge_values_fall_back_exactly():
     assert convolve_direct([10**20, 1], [0, 0]) == [0, 0]
 
 
+@pytest.mark.parametrize("a, b", [(2**31, 2**31 - 1), (2**31, 2**31)])
+def test_convolve_direct_on_both_sides_of_the_int64_limit(a, b):
+    # N*Bf*Bg = 2*a*b is 2**63 - 2**32 (int64 path), then 2**63 (Python
+    # ints), where int64 sums would wrap to -2**63
+    f, g = [a, -a], [b, -b]
+    assert convolve_direct(f, g) == pure_cyclic_convolve(f, g) == [2 * a * b, -2 * a * b]
+
+
 def test_convolve_direct_length_mismatch():
     with pytest.raises(LengthMismatch):
         convolve_direct([1, 2], [1, 2, 3])

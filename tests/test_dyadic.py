@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from exactntt.convolution import convolve_direct
 from exactntt.dyadic import (
-    REJECTED,
-    VALIDATED,
     build_dyadic_plan,
     dyadic_convolve,
     dyadic_forward,
@@ -82,13 +80,13 @@ def test_carmichael_dyadic_random(a, alpha):
 
 def test_plan_negation_root_validates():
     plan = build_dyadic_plan(2, 16, 4, 2**16 - 1)
-    assert plan.status == VALIDATED
+    assert plan.validated and plan.reason is None and plan.witness is None
     assert plan.root_powers == (1, 65535)
 
 
 def test_plan_rejects_root_three_length_four():
     plan = build_dyadic_plan(4, 4, 0, 3)
-    assert plan.status == REJECTED
+    assert not plan.validated
     assert plan.witness == (1, 8)  # 1 + 3 + 9 + 11 == 24 == 8 (mod 16)
     assert plan.root_powers == (1, 3, 9, 11)
 
@@ -101,7 +99,7 @@ def test_plan_headroom_violation():
 def test_plan_rejects_wrong_order():
     # root 1 has order 1, not the requested 2
     plan = build_dyadic_plan(2, 16, 4, 1)
-    assert plan.status == REJECTED
+    assert not plan.validated
     assert "order" in plan.reason
 
 
@@ -260,3 +258,25 @@ def test_search_script_defaults_reach_the_negation_root():
     assert proc.returncode == 0, proc.stderr
     found = re.findall(r"^  a=\s*(\d+) N=(\d+)(  <- negation root)?$", proc.stdout, re.M)
     assert found == [("1", "1", ""), ("255", "2", "  <- negation root")]
+
+
+def test_search_script_prints_its_census():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dyadic_search.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--alpha", "4", "--max-length", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "alpha = 4: 2 validated, 30 rejected\n"
+        "validated (root, length):\n"
+        "  a=     1 N=1\n"
+        "  a=    15 N=2  <- negation root\n"
+        "sample rejection witnesses (k, sum mod 2^alpha):\n"
+        "  a=     7 N=2: k=1 sum=8\n"
+        "  a=     9 N=2: k=1 sum=10\n"
+        "  a=     3 N=4: k=1 sum=8\n"
+        "  a=     5 N=4: k=1 sum=12\n"
+        "  a=    11 N=4: k=1 sum=8\n"
+    )

@@ -1,13 +1,13 @@
-"""Sequence entries must be integers (no silent truncation of floats),
-sequences must be one-dimensional, a big integer is an int, and an
-empty registry holds no modulus (no fallback to the built-in table)."""
+"""Sequence entries and moduli must be integers (no silent truncation of
+floats), sequences must be one-dimensional, a big integer is an int, and
+an empty registry holds no modulus (no fallback to the built-in table)."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exactntt import registry
+from exactntt import modular, registry
 from exactntt.convolution import (
     BigDigits,
     bigint_multiply,
@@ -18,7 +18,7 @@ from exactntt.convolution import (
     select_moduli,
 )
 from exactntt.errors import BadInput, BoundExceeded
-from exactntt.transform import ResidueSequence, int_array
+from exactntt.transform import ResidueSequence, build_plan, int_array, shift_mul
 
 REG = registry.builtin_rader_primes()
 PRIMES = [entry.prime for entry in REG]
@@ -106,3 +106,49 @@ def test_empty_registry_finds_nothing():
         registry.find_modulus(641, ())
     assert registry.find_modulus(641).prime == 641
     assert registry.find_modulus(641, REG).prime == 641
+
+
+@pytest.mark.parametrize("modulus", [641.5, 17.9, "641", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: convolve_ntt([1, 2, 0, 0], [3, 4, 0, 0], m),
+        lambda m: convolve_crt([1, 2, 0, 0], [3, 4, 0, 0], [m]),
+        lambda m: deconvolve([1, 2, 3, 4], [1, 0, 0, 0], m),
+        lambda m: ResidueSequence([5, 7], m),
+        lambda m: ResidueSequence.reduce([5, 700], m),
+        lambda m: build_plan(4, m),
+        lambda m: modular.mod_reduce(5, m),
+        lambda m: modular.mod_inverse(5, m),
+        lambda m: modular.mod_pow(5, 3, m),
+        lambda m: modular.multiplicative_order(2, m),
+        lambda m: modular.crt_combine([(1, 3), (5, m)]),
+        lambda m: shift_mul(5, 3, m),
+    ],
+    ids=[
+        "ntt", "crt", "deconvolve", "residues", "reduce", "plan",
+        "mod-reduce", "mod-inverse", "mod-pow", "order", "crt-combine", "shift-mul",
+    ],
+)
+def test_non_integer_moduli_raise_bad_input(call, modulus):
+    with pytest.raises(BadInput, match="modulus must be an integer"):
+        call(modulus)
+
+
+def test_numpy_integer_moduli_act_as_ints():
+    f, g, h = [1, 2, 0, 0], [3, 4, 0, 0], [3, 10, 8, 0]
+    assert convolve_ntt(f, g, np.int64(641)) == convolve_ntt(f, g, 641) == h
+    assert deconvolve(h, g, np.int64(17)) == deconvolve(h, g, 17) == f
+    seq = ResidueSequence.reduce([5, 700], np.int32(641))
+    assert seq == ResidueSequence([5, 59], np.int64(641)) and seq.values == (5, 59)
+    assert type(seq.modulus) is int and type(ResidueSequence([5], np.int64(641)).modulus) is int
+    assert build_plan(4, np.int64(641)) == build_plan(4, 641)
+    assert type(build_plan(4, np.int64(641)).modulus) is int
+
+
+def test_plan_length_is_an_integer():
+    plan = build_plan(np.int64(4), 641)
+    assert plan == build_plan(4, 641) and type(plan.length) is int
+    for bad in (4.0, "4", None):
+        with pytest.raises(BadInput, match="length must be an integer"):
+            build_plan(bad, 641)

@@ -48,6 +48,11 @@ def test_ext_gcd_examples():
     assert modular.ext_gcd(641, 6700417).g == 1
 
 
+def test_ext_gcd_negative_inputs_give_a_positive_gcd():
+    res = modular.ext_gcd(-4, -6)
+    assert res.g == 2 and -4 * res.x + -6 * res.y == 2
+
+
 def test_ext_gcd_zero_pair_rejected():
     with pytest.raises(BadInput):
         modular.ext_gcd(0, 0)

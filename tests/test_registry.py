@@ -43,11 +43,11 @@ def test_admits_length():
 
 
 def test_fermat_numbers():
-    assert registry.fermat_number(0).value == 3
-    assert registry.fermat_number(1).value == 5
-    assert registry.fermat_number(4).value == 65537
-    assert registry.fermat_number(5).value == 4294967297
-    assert registry.fermat_number(5).value == 641 * 6700417
+    assert registry.fermat_number(0) == 3
+    assert registry.fermat_number(1) == 5
+    assert registry.fermat_number(4) == 65537
+    assert registry.fermat_number(5) == 4294967297
+    assert registry.fermat_number(5) == 641 * 6700417
     with pytest.raises(IndexTooLarge):
         registry.fermat_number(7)
     with pytest.raises(IndexTooLarge):
@@ -67,7 +67,7 @@ def test_fermat_product_identity():
         assert registry.verify_fermat_product_identity(n)
         product = 1
         for j in range(n):
-            product *= registry.fermat_number(j).value
+            product *= registry.fermat_number(j)
         assert product == registry.rader_number(n)
     with pytest.raises(IndexTooLarge):
         registry.verify_fermat_product_identity(0)
