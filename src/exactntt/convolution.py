@@ -9,7 +9,7 @@ Chinese Remainder Theorem.
 
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
 
@@ -27,7 +27,9 @@ from .registry import RaderModulus, builtin_rader_primes
 from .transform import (
     INT64_LIMIT,
     ResidueSequence,
+    TransformPlan,
     _mod,
+    _resolve_modulus,
     build_plan,
     forward_fast,
     int_array,
@@ -35,9 +37,31 @@ from .transform import (
 )
 
 
+@dataclass(frozen=True)
+class _PlanKey:
+    """A modulus argument resolved to its prime and root-2 order.
+
+    Keys compare by (prime, order) alone, so 641 and find_modulus(641)
+    share one cached plan, while a RaderModulus claiming another order
+    gets its own, which build_plan rejects.  ``modulus`` is the argument
+    as given, which build_plan checks on a miss.
+    """
+
+    prime: int
+    order: int
+    modulus: object = field(compare=False)
+
+
 @lru_cache(maxsize=32)
-def _plan(length: int, modulus):
-    return build_plan(length, modulus)
+def _plan_key(modulus) -> _PlanKey:
+    # once per argument: the primality test and the order cost more than
+    # a transform at N = 1024, so a cached plan must not repeat them
+    return _PlanKey(*_resolve_modulus(modulus), modulus)
+
+
+@lru_cache(maxsize=32)
+def _plan(length: int, key: _PlanKey) -> TransformPlan:
+    return build_plan(length, key.modulus)
 
 
 def _equal_length(f, g) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +169,7 @@ def _convolve(f, g, moduli) -> list[int]:
         raise BadInput("convolve_crt needs at least one modulus")
     f, g = _equal_length(f, g)
     n = len(f)
-    plans = [_plan(n, mod) for mod in moduli]
+    plans = [_plan(n, _plan_key(mod)) for mod in moduli]
     primes = [plan.modulus for plan in plans]
     product = _crt_product(primes)
     need, signed = _requirement(f, g)
@@ -200,7 +224,7 @@ def deconvolve(h, g, modulus) -> list[int]:
     Output is the canonical residue sequence of f.
     """
     h, g = _equal_length(h, g)
-    plan = _plan(len(h), modulus)
+    plan = _plan(len(h), _plan_key(modulus))
     m = plan.modulus
     H, G = _forward(h, plan), _forward(g, plan)
     zeros = np.flatnonzero(G == 0)
@@ -215,20 +239,26 @@ def deconvolve(h, g, modulus) -> list[int]:
 
 
 def _inverse_mod(x: np.ndarray, m: int) -> np.ndarray:
-    """Elementwise x**(m-2) mod prime m < 2**31 by square-and-multiply.
+    """Elementwise inverse of nonzero residues x mod prime m < 2**31.
 
-    The inverse of every nonzero residue (Fermat); products of two
-    residues stay below 2**62.
+    One scalar inversion serves them all (a product tree): padded with
+    1s to a power of two, each level up holds the products of adjacent
+    pairs, down to the product p of every entry.  Going back down from
+    1/p, the inverse of a node is the inverse of its parent times its
+    sibling.  Products of two residues stay below 2**62.
     """
-    result = np.ones_like(x)
-    base = x.copy()
-    e = m - 2
-    while e:
-        if e & 1:
-            result = _mod(result * base, m)
-        base = _mod(base * base, m)
-        e >>= 1
-    return result
+    level = np.ones(modular.next_power_of_two(len(x)), dtype=np.int64)
+    level[: len(x)] = x
+    levels = [level]
+    while len(level) > 1:
+        level = _mod(level[0::2] * level[1::2], m)
+        levels.append(level)
+    inverse = np.array([pow(int(level[0]), -1, m)], dtype=np.int64)
+    for level in reversed(levels[:-1]):
+        siblings = level.reshape(-1, 2)[:, ::-1]
+        product = inverse[:, None] * siblings
+        inverse = _mod(product.reshape(-1), m)
+    return inverse[: len(x)]
 
 
 # -- big-integer multiplication ----------------------------------------

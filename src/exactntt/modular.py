@@ -23,12 +23,20 @@ class ExtGcdResult:
     y: int
 
 
+def _integer(value, what: str) -> int:
+    """value as an int, taken through __index__: a float or str raises BadInput.
+
+    numpy integers and bools pass as the ints they are.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadInput(f"{what} must be an integer, got {value!r}") from None
+
+
 def _modulus(m) -> int:
     """m as an int >= 2, taken through __index__: a float or str raises BadInput."""
-    try:
-        m = operator.index(m)
-    except TypeError:
-        raise BadInput(f"modulus must be an integer, got {m!r}") from None
+    m = _integer(m, "modulus")
     if m < 2:
         raise ModulusTooSmall(f"modulus must be >= 2, got {m}")
     return m
@@ -36,7 +44,7 @@ def _modulus(m) -> int:
 
 def mod_reduce(a: int, m: int) -> int:
     """Canonical residue of a modulo m, nonnegative for any signed a."""
-    return a % _modulus(m)
+    return _integer(a, "residue") % _modulus(m)
 
 
 def ext_gcd(a: int, b: int) -> ExtGcdResult:
@@ -63,7 +71,7 @@ def ext_gcd(a: int, b: int) -> ExtGcdResult:
 def mod_inverse(b: int, m: int) -> int:
     """Inverse of b modulo m, i.e. the residue i with b*i == 1 (mod m)."""
     m = _modulus(m)
-    b = b % m
+    b = _integer(b, "residue") % m
     res = ext_gcd(b, m)
     if res.g != 1:
         raise NotInvertible(f"{b} is not invertible mod {m} (gcd = {res.g})")
@@ -73,6 +81,7 @@ def mod_inverse(b: int, m: int) -> int:
 def mod_pow(base: int, exp: int, m: int) -> int:
     """base**exp mod m in O(log exp) multiplications."""
     m = _modulus(m)
+    base, exp = _integer(base, "base"), _integer(exp, "exponent")
     if exp < 0:
         raise BadInput("negative exponent; invert the base explicitly")
     return pow(base, exp, m)
@@ -141,7 +150,7 @@ def multiplicative_order(a: int, m: int) -> int:
     while the power stays 1.
     """
     m = _modulus(m)
-    a = a % m
+    a = _integer(a, "residue") % m
     if gcd(a, m) != 1:
         raise NotInvertible(f"order undefined: gcd({a}, {m}) != 1")
     order = carmichael_lambda(m)
@@ -165,7 +174,7 @@ def crt_combine(residues: list[tuple[int, int]]) -> int:
         g = gcd(m, mi)
         if g != 1:
             raise ModuliNotCoprime(f"moduli share factor {g}")
-        r = r % mi
+        r = _integer(r, "residue") % mi
         # lift: x + m*t == r (mod mi)  =>  t == (r - x) * m^-1 (mod mi)
         t = (r - x) * mod_inverse(m, mi) % mi
         x += m * t

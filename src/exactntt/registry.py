@@ -52,6 +52,7 @@ class RaderModulus:
 
 def rader_number(n: int) -> int:
     """2^(2^n) - 1: the Mersenne number whose factors are F_0..F_{n-1}."""
+    n = modular._integer(n, "Fermat index")
     if n < 0 or n > MAX_MATERIALIZED_INDEX:
         raise IndexTooLarge(
             f"Fermat/Rader number index {n} outside materialized range "
@@ -67,6 +68,7 @@ def fermat_number(n: int) -> int:
 
 def verify_fermat_product_identity(n: int) -> bool:
     """Check F_0 * F_1 * ... * F_{n-1} == F_n - 2 exactly (1 <= n <= 6)."""
+    n = modular._integer(n, "Fermat index")
     if n < 1 or n > MAX_MATERIALIZED_INDEX:
         raise IndexTooLarge(f"identity check supported for 1 <= n <= {MAX_MATERIALIZED_INDEX}")
     product = 1

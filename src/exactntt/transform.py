@@ -1,40 +1,64 @@
 """Forward/inverse transforms over a root-2 prime modulus.
 
-Two evaluation paths: a direct O(N^2) sum straight off the defining
-formula (the reference the fast path is checked against) and a radix-2
-Stockham fast path for power-of-two lengths, which reads its input and
-writes its output in natural order.  Both compute only the forward sum
-X(u) = sum_t x(t) * w**(u*t).  The inverse is that forward sum with its
-output index reversed, scaled by 1/N:
-x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t), so the
-direction touches neither the input nor the cores.  The plan holds only
-its read-only int64 twiddles, built once, and caches nothing
-afterwards.  The direct path evaluates the sum, a polynomial in
-w**u, by Horner's rule over blocks of B inputs and keeps no N x N
-matrix:  X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
+Three evaluation routes, all computing only the forward sum
+X(u) = sum_t x(t) * w**(u*t):
 
-Both paths work on int64 numpy arrays (moduli below 2**31) and serve
-both multiplication kernels.  Every int64 reduction is _mod: with
-q = a // m, a mod m = a - q*m.  numpy divides by a scalar through a
-precomputed reciprocal, so the floor quotient, one product and one
-difference cost about a third of int64 %.  It is exact for any int64 a
-and 0 < m < 2**63: a wrap of q*m past +-2**63 cancels in a - q*m, whose
-true value lies in [0, m).  The fast path leaves butterfly outputs
-unreduced (even + hi and even - hi, hi = odd*w mod m), so each stage
-costs one reduction and the bound on the entries' magnitudes grows by m
-per stage; _mod floors, so negative entries reduce to [0, m) too.
-The twiddle product stays exact while bound*(m-1) < 2**63; build_plan
-computes the stages before which that would fail (reduction_stages),
-asserts the bound at every stage, and the fast path reduces the array
-there and once at the end.  The direct path adds B unreduced products
-of one block to the carried Horner term, which is exact while
-(B+1)*(m-1)**2 < 2**63; _direct_block picks B from (N, m).  A kernel,
-selected per plan, decides only the twiddle product, the direct path's
-block row sum and the 1/N scaling:
+  direct     the O(N^2) sum straight off the defining formula, for any
+             admitted length; the reference the fast routes are checked
+             against.
+  dense      the fast route of a "mul" plan at a power-of-two N <= 1024
+             whose matrix products stay exact (_dense_split): one
+             Cooley-Tukey split N = n1*n2 done as two small int64
+             matrix products.
+  Stockham   the fast route of every other power-of-two plan: a radix-2
+             loop that reads its input and writes its output in natural
+             order.
+
+The fast routes fall back to the direct path at other lengths.  The
+inverse is the forward sum with its output index reversed, scaled by
+1/N: x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t), so the
+direction touches neither the input nor the cores.  The plan holds only
+read-only int64 tables (its twiddles, and the dense route's matrices),
+built once, and caches nothing afterwards.  The direct path evaluates
+the sum, a polynomial in w**u, by Horner's rule over blocks of B inputs
+and keeps no N x N matrix:
+X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
+
+The dense route writes t = t1*n2 + t2 and u = u1 + n1*u2, so that
+w**(u*t) = w**(n2*u1*t1) * w**(u1*t2) * w**(n1*u2*t2): a length-n1
+transform down the columns of x viewed as an (n1, n2) matrix (D_n1 @ x),
+a twiddle grid w**(u1*t2) applied entrywise, and a length-n2 transform
+along the rows (@ D_n2), read out transposed.  Each matrix product adds
+at most max(n1, n2) products of two residues before its reduction, so
+it is exact while max(n1, n2)*(m-1)**2 < 2**63; the tables are built
+only where that holds, and asserted there.  At N = 1024 the route is
+about twice as fast as the Stockham loop, whose ~7 ufunc calls per
+stage on 512-entry arrays cost more in call overhead than in work; at
+N = 4096 it is slower.
+
+All routes work on int64 numpy arrays (moduli below 2**31); the direct
+and Stockham routes serve both multiplication kernels.  Every int64
+reduction is _mod: with q = a // m, a mod m = a - q*m.  numpy divides
+by a scalar through a precomputed reciprocal, so the floor quotient, one
+product and one difference cost about a third of int64 %.  It is exact
+for any int64 a and 0 < m < 2**63: a wrap of q*m past +-2**63 cancels
+in a - q*m, whose true value lies in [0, m).  The Stockham loop leaves
+butterfly outputs unreduced (even + hi and even - hi, hi = odd*w mod m),
+so each stage costs one reduction and the bound on the entries'
+magnitudes grows by m per stage; _mod floors, so negative entries
+reduce to [0, m) too.  The twiddle product stays exact while
+bound*(m-1) < 2**63; build_plan computes the stages before which that
+would fail (reduction_stages), asserts the bound at every stage, and
+the loop reduces the array there and once at the end.  The direct path
+adds B unreduced products of one block to the carried Horner term,
+which is exact while (B+1)*(m-1)**2 < 2**63; _direct_block picks B from
+(N, m).  A kernel, selected per plan, decides only the twiddle product,
+the direct path's block row sum and the 1/N scaling:
 
   "mul"    the factor for twiddle j is w**j mod m; products are
            ordinary int64 multiplication, row sums a matrix-vector
-           product, and 1/N a multiplication by n_inverse.
+           product, and 1/N a multiplication by n_inverse.  Only this
+           kernel takes the dense route, which multiplies matrices.
   "shift"  the factor for twiddle j is its exponent root_step*j, since
            w**j = 2**(root_step*j); every product is shift_mul, one left
            shift and one reduction, applied elementwise on Python ints,
@@ -227,18 +251,30 @@ class ResidueSequence:
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Validated (length, modulus, root) triple with its read-only twiddles.
+    """Validated (length, modulus, root) triple with its read-only tables.
 
     The working root is 2**root_step, where root_step * length is the
     root-2 order of modulus; twiddles[j] = 2**(root_step * j) mod
     modulus, as a read-only int64 array.  n_inverse undoes the length
-    factor in the inverse transform.  reduction_stages lists the
-    fast-path stages (0 for the first, which makes transforms of length
-    2) before which the lazy butterflies must reduce the array to [0, m)
-    to keep int64 exact.  build_plan fills the twiddles once and nothing
-    is cached later, so plans are immutable and safe to share across
-    threads.  The twiddles follow from (length, modulus, root_step) and
-    take no part in equality or hashing.
+    factor in the inverse transform.  The fast transforms take one of
+    two routes, fixed per plan by _dense_split:
+
+      dense     ``dense`` holds the read-only int64 tables
+                (D_n1, grid, D_n2): D_n1[u1, t1] = w**(n2*u1*t1),
+                grid[u1, t2] = w**(u1*t2) and D_n2[t2, u2] = w**(n1*t2*u2)
+                for the split N = n1*n2.  The "mul" kernel at a
+                power-of-two N <= 1024 where max(n1, n2)*(m-1)**2 < 2**63.
+      Stockham  ``dense`` is None; the radix-2 loop.  reduction_stages
+                lists its stages (0 for the first, which makes
+                transforms of length 2) before which the lazy
+                butterflies must reduce the array to [0, m) to keep
+                int64 exact.
+
+    Other lengths, and the direct functions, take the direct route.
+    build_plan fills the tables once and nothing is cached later, so
+    plans are immutable and safe to share across threads.  The tables
+    follow from (length, modulus, root_step, kernel) and take no part
+    in equality or hashing.
     """
 
     length: int
@@ -248,6 +284,9 @@ class TransformPlan:
     n_inverse: int
     reduction_stages: tuple[int, ...]
     twiddles: np.ndarray = field(repr=False, compare=False)
+    dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def root(self) -> int:
@@ -313,6 +352,50 @@ def _direct_block(length: int, m: int) -> int:
     return block
 
 
+# Longest plan that takes the dense route: at 2048 it is level with the
+# Stockham loop, at 4096 it is slower (its matrix products grow as N**1.5)
+DENSE_MAX_LENGTH = 1024
+
+
+def _dense_split(length: int, m: int, kernel: str) -> tuple[int, int] | None:
+    """The split N = n1*n2 of the dense route, or None for the Stockham loop.
+
+    The dense route serves the "mul" kernel (it multiplies matrices) at
+    power-of-two lengths up to DENSE_MAX_LENGTH, with n1 = 2**floor(k/2)
+    for N = 2**k, so n1 <= n2.  Each matrix product adds up to
+    max(n1, n2) = n2 products below (m-1)**2 and is exact in int64 while
+    n2*(m-1)**2 < 2**63.  That holds for the registry primes at every
+    length up to 1024; it fails above 16 for 1214251009 and above 64
+    for 825753601, which keep the Stockham loop.
+    """
+    if kernel != "mul" or not modular.is_power_of_two(length) or length > DENSE_MAX_LENGTH:
+        return None
+    n1 = 1 << (length.bit_length() - 1) // 2
+    n2 = length // n1
+    return (n1, n2) if n2 * (m - 1) ** 2 < INT64_LIMIT else None
+
+
+def _dense_tables(
+    twiddles: np.ndarray, n1: int, n2: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense route's read-only tables (D_n1, grid, D_n2) for N = n1*n2.
+
+    Asserts the bound _dense_split decides by, so a split that bypasses
+    the rule cannot build tables whose products would overflow int64.
+    """
+    assert max(n1, n2) * (m - 1) ** 2 < INT64_LIMIT, f"dense route overflows int64 mod {m}"
+    n = n1 * n2
+    i1, i2 = np.arange(n1, dtype=np.int64), np.arange(n2, dtype=np.int64)
+    tables = (
+        twiddles[n2 * np.outer(i1, i1) % n],
+        twiddles[np.outer(i1, i2)],
+        twiddles[n1 * np.outer(i2, i2) % n],
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     """Construct a verified transform plan.
 
@@ -361,6 +444,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     n_inverse = modular.mod_inverse(length % m, m)
     assert length * n_inverse % m == 1
     arr.flags.writeable = False
+    split = _dense_split(length, m, kernel)
     return TransformPlan(
         length=length,
         modulus=m,
@@ -369,6 +453,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         n_inverse=n_inverse,
         reduction_stages=_reduction_schedule(length, m),
         twiddles=arr,
+        dense=None if split is None else _dense_tables(arr, *split, m),
     )
 
 
@@ -450,6 +535,18 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 # -- fast path ---------------------------------------------------------
 
 
+def _dense(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # x as an (n1, n2) matrix, x[t1*n2 + t2]; the result's entry (u1, u2)
+    # is X(u1 + n1*u2), so it reads out transposed
+    d1, grid, d2 = plan.dense
+    n1, n2 = grid.shape
+    m = plan.modulus
+    y = _mod(d1 @ a.reshape(n1, n2), m)
+    y *= grid
+    _mod(y, m, out=y)
+    return _mod(y @ d2, m).T.reshape(plan.length)
+
+
 def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # Stockham autosort: entry (k, j) of the (L, C) view, L*C = N, holds
     # the length-L transform at frequency k of every C-th input from j
@@ -475,7 +572,8 @@ def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 
 def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
-    """Radix-2 fast forward transform; bit-exact equal to forward_direct.
+    """Fast forward transform, dense or Stockham as the plan decides;
+    bit-exact equal to forward_direct.
 
     Lengths that are not powers of two fall back to the direct path.
     """
@@ -483,7 +581,7 @@ def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 
 
 def inverse_fast(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
-    """Radix-2 fast inverse transform; bit-exact equal to inverse_direct."""
+    """Fast inverse transform; bit-exact equal to inverse_direct."""
     return _transform(X, plan, fast=True, inverse=True)
 
 
@@ -494,8 +592,10 @@ def _transform(
     reverses its output index, t -> -t mod N, and scales by 1/N:
     x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * root**(u*t)."""
     _check_input(x, plan)
-    a = np.asarray(x)  # read-only; neither core writes its input
-    if fast and modular.is_power_of_two(plan.length):
+    a = np.asarray(x)  # read-only; no core writes its input
+    if fast and plan.dense is not None:
+        out = _dense(a, plan)
+    elif fast and modular.is_power_of_two(plan.length):
         out = _fast(a, plan)
     else:
         out = _direct(a, plan)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from exactntt.errors import (
     LengthMismatch,
     ModuliNotCoprime,
     NotInvertible,
+    VerificationFailed,
 )
 
 REG = registry.builtin_rader_primes()
@@ -242,6 +244,77 @@ def test_deconvolve_reports_first_bad_bin():
     with pytest.raises(NotInvertible) as exc:
         deconvolve([1] * plan_len, list(g.values), m)
     assert exc.value.bin_index == 3
+
+
+@pytest.mark.parametrize("m,n", [(7, 3), (13, 12), (641, 64), (2424833, 1), (13631489, 1024)])
+def test_inverse_mod_is_the_inverse_of_every_entry(m, n):
+    # any length, not only powers of two: the product tree pads with 1s
+    rnd = random.Random(m + n)
+    x = [1, m - 1][:n] + [rnd.randrange(1, m) for _ in range(n - 2)]
+    inverse = convolution._inverse_mod(np.array(x, dtype=np.int64), m)
+    assert inverse.tolist() == [pow(v, -1, m) for v in x]
+
+
+def test_deconvolve_at_a_length_that_is_not_a_power_of_two():
+    # 2 has order 3 mod 7 and 12 mod 13; the spectra of these filters,
+    # 1 + z and 5 + z + z**2 at z = w**u, have no zero there
+    for m, g in ((7, [1, 1, 0]), (13, [5, 1, 1] + [0] * 9)):
+        n = len(g)
+        rnd = random.Random(n)
+        f = [rnd.randrange(m) for _ in range(n)]
+        h = [v % m for v in pure_cyclic_convolve(f, g)]
+        assert deconvolve(h, g, m) == f
+    # g = (1, 1, 1) has spectrum (3, 0, 0): bin 1 is the first zero
+    with pytest.raises(NotInvertible) as exc:
+        deconvolve([1, 2, 3], [1, 1, 1], 7)
+    assert exc.value.bin_index == 1
+
+
+# -- plan cache ------------------------------------------------------------------------
+
+
+@pytest.fixture
+def plan_cache():
+    convolution._plan.cache_clear()
+    convolution._plan_key.cache_clear()
+    yield convolution._plan.cache_info
+    convolution._plan.cache_clear()
+    convolution._plan_key.cache_clear()
+
+
+DELTA = [1] + [0] * 63
+
+
+def test_every_form_of_a_modulus_shares_one_plan(plan_cache):
+    for modulus in (641, registry.find_modulus(641), np.int64(641), 641):
+        assert convolve_ntt(DELTA, DELTA, modulus) == DELTA
+    info = plan_cache()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_a_cached_plan_skips_the_primality_test_and_the_order(plan_cache, monkeypatch):
+    for modulus in (13631489, registry.find_modulus(13631489)):
+        convolve_ntt(DELTA, DELTA, modulus)
+
+    def forbidden(*args):
+        raise AssertionError("recomputed on a cache hit")
+
+    monkeypatch.setattr(modular, "is_prime", forbidden)
+    monkeypatch.setattr(modular, "multiplicative_order", forbidden)
+    for modulus in (13631489, registry.find_modulus(13631489)):
+        assert convolve_ntt(DELTA, DELTA, modulus) == DELTA
+    assert plan_cache().hits == 3
+
+
+def test_a_wrong_order_claim_raises_after_the_right_plan_is_cached(plan_cache):
+    assert convolve_ntt(DELTA, DELTA, 641) == DELTA
+    for claim in (registry.RaderModulus(641, 5, 128), registry.RaderModulus(641, 6, 128)):
+        with pytest.raises(VerificationFailed, match="has order 32 < 64"):
+            convolve_ntt(DELTA, DELTA, claim)
+    with pytest.raises(InvalidLength):
+        convolve_ntt(DELTA, DELTA, registry.RaderModulus(641, 4, 32))
+    info = plan_cache()
+    assert (info.misses, info.hits, info.currsize) == (4, 0, 1)
 
 
 # -- big digits ------------------------------------------------------------------------

@@ -152,3 +152,35 @@ def test_plan_length_is_an_integer():
     for bad in (4.0, "4", None):
         with pytest.raises(BadInput, match="length must be an integer"):
             build_plan(bad, 641)
+
+
+# residues, exponents and Fermat indices follow the integer rule of moduli
+
+
+def test_mod_reduce_takes_an_integer_residue():
+    with pytest.raises(BadInput, match="residue must be an integer, got 5.5"):
+        modular.mod_reduce(5.5, 7)
+    assert modular.mod_reduce(np.int64(-5), 7) == 2
+
+
+def test_crt_combine_takes_integer_residues():
+    with pytest.raises(BadInput, match="residue must be an integer, got 1.5"):
+        modular.crt_combine([(1.5, 3), (2, 5)])
+    assert modular.crt_combine([(np.int64(1), 3), (np.int32(2), 5)]) == 7
+
+
+def test_mod_inverse_takes_an_integer_residue():
+    with pytest.raises(BadInput, match="residue must be an integer, got 2.5"):
+        modular.mod_inverse(2.5, 7)
+    assert modular.mod_inverse(np.int64(3), 7) == 5
+    with pytest.raises(BadInput, match="exponent must be an integer"):
+        modular.mod_pow(2, 3.0, 7)
+    with pytest.raises(BadInput, match="residue must be an integer"):
+        modular.multiplicative_order(2.0, 7)
+
+
+def test_fermat_number_takes_an_integer_index():
+    for call in (registry.fermat_number, registry.rader_number, registry.verify_fermat_product_identity):
+        with pytest.raises(BadInput, match="Fermat index must be an integer, got 2.0"):
+            call(2.0)
+    assert registry.fermat_number(np.int64(2)) == 17

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -451,3 +451,75 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     assert proc.returncode == 0, proc.stderr
     grown_kib = int(proc.stdout)
     assert grown_kib < 32 * 1024, f"max RSS grew by {grown_kib / 1024:.1f} MiB"
+
+
+# -- the dense route ----------------------------------------------------------
+
+# the registry primes, and the two primes near 2**30 whose (m-1)**2 leaves
+# room for only 4 and 8 products per int64 sum
+DENSE_PRIMES = [e.prime for e in registry.builtin_rader_primes()] + [1214251009, 825753601]
+
+
+@pytest.mark.parametrize("m", DENSE_PRIMES)
+def test_dense_equals_stockham_and_direct(m):
+    order = modular.multiplicative_order(2, m)
+    for n in (1 << k for k in range(11)):
+        if order % n:
+            continue
+        plan = build_plan(n, m)
+        assert (plan.dense is None) == (transform._dense_split(n, m, "mul") is None)
+        stockham = replace(plan, dense=None)
+        # all m-1 is the largest sum each matrix product can meet
+        for x in (random_sequence(n, m, n), ResidueSequence([m - 1] * n, m)):
+            assert forward_fast(x, plan) == forward_fast(x, stockham) == forward_direct(x, plan)
+            assert inverse_fast(x, plan) == inverse_fast(x, stockham) == inverse_direct(x, plan)
+
+
+@pytest.mark.parametrize(
+    "n,m,kernel,split",
+    [
+        (1, 641, "mul", (1, 1)), (2, 641, "mul", (1, 2)), (64, 641, "mul", (8, 8)),
+        (512, 2424833, "mul", (16, 32)), (1024, 13631489, "mul", (32, 32)),
+        (1024, 13631489, "shift", None), (64, 641, "shift", None),
+        (2048, 13631489, "mul", None), (4096, 319489, "mul", None),
+        (16, 1214251009, "mul", (4, 4)), (32, 1214251009, "mul", None),
+        (64, 825753601, "mul", (8, 8)), (128, 825753601, "mul", None),
+        (12, 13, "mul", None), (4, PLAIN_PRIME, "mul", (2, 2)), (8, PLAIN_PRIME, "mul", None),
+    ],
+)
+def test_dense_split(n, m, kernel, split):
+    # "mul" at a power of two up to 1024, n1 <= n2, while n2*(m-1)**2 < 2**63
+    assert transform._dense_split(n, m, kernel) == split
+    plan = build_plan(n, m, kernel)
+    if split is None:
+        assert plan.dense is None
+        return
+    n1, n2 = split
+    assert n1 * n2 == n and n1 <= n2 and n2 * (m - 1) ** 2 < 2**63
+    assert [table.shape for table in plan.dense] == [(n1, n1), (n1, n2), (n2, n2)]
+
+
+def test_dense_tables_are_read_only_and_outside_equality():
+    plan = build_plan(1024, 13631489)
+    d1, grid, d2 = plan.dense
+    w = plan.twiddles
+    assert d1[3, 5] == w[32 * 15] and grid[3, 5] == w[15] and d2[3, 5] == w[32 * 15]
+    assert sum(table.nbytes for table in plan.dense) == 24 * 1024
+    for table in plan.dense:
+        assert table.dtype == np.int64
+        with pytest.raises(ValueError):
+            table[0, 0] = 5
+    assert plan == replace(plan, dense=None) and "dense" not in repr(plan)
+
+
+@pytest.mark.parametrize("split", [(4, 8), (8, 4)])
+def test_dense_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, split):
+    monkeypatch.setattr(transform, "_dense_split", lambda n, m, kernel: split)
+    with pytest.raises(AssertionError, match="dense route overflows int64 mod 1214251009"):
+        build_plan(32, 1214251009)
+    # a split the rule would not pick is still exact where the bound holds
+    plan = build_plan(32, 13631489)
+    assert plan.dense[1].shape == split
+    x = random_sequence(32, 13631489, 1)
+    assert forward_fast(x, plan) == forward_direct(x, plan)
+    assert inverse_fast(x, plan) == inverse_direct(x, plan)
