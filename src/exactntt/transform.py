@@ -365,8 +365,8 @@ def _dense_split(length: int, m: int, kernel: str) -> tuple[int, int] | None:
     for N = 2**k, so n1 <= n2.  Each matrix product adds up to
     max(n1, n2) = n2 products below (m-1)**2 and is exact in int64 while
     n2*(m-1)**2 < 2**63.  That holds for the registry primes at every
-    length up to 1024; it fails above 16 for 1214251009 and above 64
-    for 825753601, which keep the Stockham loop.
+    length up to 1024 they admit; it fails above 16 for 1214251009 and
+    above 64 for 825753601, which keep the Stockham loop there.
     """
     if kernel != "mul" or not modular.is_power_of_two(length) or length > DENSE_MAX_LENGTH:
         return None
