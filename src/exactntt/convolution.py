@@ -212,7 +212,11 @@ def convolve_crt(f, g, moduli) -> list[int]:
     combined from its per-prime residues, then lifted to
     (-prod/2, prod/2] when an input is negative.
     """
-    return _convolve(f, g, list(moduli))
+    try:
+        moduli = list(moduli)
+    except TypeError:
+        raise BadInput(f"moduli must be iterable, got {moduli!r}") from None
+    return _convolve(f, g, moduli)
 
 
 def deconvolve(h, g, modulus) -> list[int]:
@@ -398,6 +402,8 @@ def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
     is not enough.  ``registry`` None means the built-in table; an empty
     registry admits nothing.
     """
+    length = modular._integer(length, "length")
+    bound = modular._integer(bound, "bound")
     if registry is None:
         registry = builtin_rader_primes()
     candidates = sorted(

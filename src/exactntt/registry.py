@@ -32,13 +32,18 @@ class RaderModulus:
 
     ``prime`` divides F_{fermat_index}; ``n_max`` is the multiplicative
     order of 2 mod prime and the largest supported transform length.
-    Construction performs no validation so that wrong claims can be
-    built and then rejected by verify_fermat_factor.
+    Construction checks only that each field is an integer (a float or
+    str raises BadInput), so that wrong claims can be built and then
+    rejected by verify_fermat_factor.
     """
 
     prime: int
     fermat_index: int
     n_max: int
+
+    def __post_init__(self):
+        for name in ("prime", "fermat_index", "n_max"):
+            object.__setattr__(self, name, modular._integer(getattr(self, name), name))
 
     @property
     def word_size_bits(self) -> int:

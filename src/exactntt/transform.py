@@ -3,68 +3,58 @@
 Three evaluation routes, all computing only the forward sum
 X(u) = sum_t x(t) * w**(u*t):
 
-  direct     the O(N^2) sum straight off the defining formula, for any
-             admitted length; the reference the fast routes are checked
-             against.
-  dense      the fast route of a "mul" plan at a power-of-two N <= 1024
-             whose matrix products stay exact (_dense_split): one
-             Cooley-Tukey split N = n1*n2 done as two small int64
-             matrix products.
+  direct     the O(N^2) sum by Horner's rule over blocks of B inputs,
+             X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t),
+             at any admitted length and with no N x N matrix.  It reads
+             only the twiddles, under either kernel: it is the reference
+             the fast routes are checked against.
+  dense      the fast route of a "mul" plan at a power-of-two N <= 1024:
+             with t = t1*n2 + t2 and u = u1 + n1*u2, a length-n1
+             transform down the columns of x as an (n1, n2) matrix
+             (D_n1 @ x), the twiddle grid w**(u1*t2) entrywise, and a
+             length-n2 transform along the rows (@ D_n2), read out
+             transposed.  At N = 1024 it is about twice as fast as the
+             Stockham loop, whose ~7 ufunc calls per stage cost more in
+             call overhead than in work; at N = 4096 it is slower.
   Stockham   the fast route of every other power-of-two plan: a radix-2
              loop that reads its input and writes its output in natural
-             order.
+             order, leaving even + hi and even - hi (hi = odd*w mod m)
+             unreduced.
 
 The fast routes fall back to the direct path at other lengths.  The
 inverse is the forward sum with its output index reversed, scaled by
-1/N: x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t), so the
-direction touches neither the input nor the cores.  The plan holds only
-read-only int64 tables (its twiddles, and the dense route's matrices),
-built once, and caches nothing afterwards.  The direct path evaluates
-the sum, a polynomial in w**u, by Horner's rule over blocks of B inputs
-and keeps no N x N matrix:
-X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t).
+1/N: x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t).  A plan
+holds only read-only int64 tables, built once.
 
-The dense route writes t = t1*n2 + t2 and u = u1 + n1*u2, so that
-w**(u*t) = w**(n2*u1*t1) * w**(u1*t2) * w**(n1*u2*t2): a length-n1
-transform down the columns of x viewed as an (n1, n2) matrix (D_n1 @ x),
-a twiddle grid w**(u1*t2) applied entrywise, and a length-n2 transform
-along the rows (@ D_n2), read out transposed.  Each matrix product adds
-at most max(n1, n2) products of two residues before its reduction, so
-it is exact while max(n1, n2)*(m-1)**2 < 2**63; the tables are built
-only where that holds, and asserted there.  At N = 1024 the route is
-about twice as fast as the Stockham loop, whose ~7 ufunc calls per
-stage on 512-entry arrays cost more in call overhead than in work; at
-N = 4096 it is slower.
+All routes work on int64 arrays (moduli below 2**31), and every
+reduction is _mod, a - (a // m)*m: numpy divides by a scalar through a
+precomputed reciprocal, so it costs about a third of int64 %.  It is
+exact for any int64 a and 0 < m < 2**63 (a wrap of q*m past +-2**63
+cancels in a - q*m) and floors, so negative entries reduce to [0, m).
+One rule bounds every unreduced int64 sum: it holds at most
+H = _headroom(m) products of two residues, the largest H with
+H*m*(m-1) < 2**63.  Each route takes its parameter from H and asserts
+it where it is chosen:
 
-All routes work on int64 numpy arrays (moduli below 2**31); the direct
-and Stockham routes serve both multiplication kernels.  Every int64
-reduction is _mod: with q = a // m, a mod m = a - q*m.  numpy divides
-by a scalar through a precomputed reciprocal, so the floor quotient, one
-product and one difference cost about a third of int64 %.  It is exact
-for any int64 a and 0 < m < 2**63: a wrap of q*m past +-2**63 cancels
-in a - q*m, whose true value lies in [0, m).  The Stockham loop leaves
-butterfly outputs unreduced (even + hi and even - hi, hi = odd*w mod m),
-so each stage costs one reduction and the bound on the entries'
-magnitudes grows by m per stage; _mod floors, so negative entries
-reduce to [0, m) too.  The twiddle product stays exact while
-bound*(m-1) < 2**63; build_plan computes the stages before which that
-would fail (reduction_stages), asserts the bound at every stage, and
-the loop reduces the array there and once at the end.  The direct path
-adds B unreduced products of one block to the carried Horner term,
-which is exact while (B+1)*(m-1)**2 < 2**63; _direct_block picks B from
-(N, m).  A kernel, selected per plan, decides only the twiddle product,
-the direct path's block row sum and the 1/N scaling:
+  Stockham   the j-th stage after a reduction multiplies entries below
+             j*m by twiddles below m, so the loop reduces before every
+             H-th stage (reduction_stages) and once at the end;
+  direct     a Horner step adds B products to one more, so B + 1 <= H
+             (_direct_block);
+  dense      a matrix product adds n2 >= n1 products, so n2 <= H
+             (_dense_split, _dense_tables).
 
-  "mul"    the factor for twiddle j is w**j mod m; products are
-           ordinary int64 multiplication, row sums a matrix-vector
-           product, and 1/N a multiplication by n_inverse.  Only this
+A kernel, selected per plan, decides only the Stockham twiddle product
+and the 1/N scaling:
+
+  "mul"    int64 multiplication by w**j, and by n_inverse.  Only this
            kernel takes the dense route, which multiplies matrices.
-  "shift"  the factor for twiddle j is its exponent root_step*j, since
-           w**j = 2**(root_step*j); every product is shift_mul, one left
-           shift and one reduction, applied elementwise on Python ints,
-           and 1/N at a power-of-two N is log2 N modular halvings.  No
-           general multiplication touches the data, and the results are
-           bit-identical to "mul".
+  "shift"  w**j = 2**(root_step*j), so the product is shift_mul, one
+           left shift and one reduction on Python ints; j < N/2 keeps
+           every shift below half the root-2 order.  1/N at a
+           power-of-two N is log2 N modular halvings.  No general
+           multiplication touches the data of a fast transform at a
+           power-of-two N, and the results are bit-identical to "mul".
 """
 
 import array
@@ -257,24 +247,24 @@ class TransformPlan:
     root-2 order of modulus; twiddles[j] = 2**(root_step * j) mod
     modulus, as a read-only int64 array.  n_inverse undoes the length
     factor in the inverse transform.  The fast transforms take one of
-    two routes, fixed per plan by _dense_split:
+    two routes, fixed per plan by _dense_split; both keep every int64
+    sum within H = _headroom(modulus) products of two residues:
 
       dense     ``dense`` holds the read-only int64 tables
                 (D_n1, grid, D_n2): D_n1[u1, t1] = w**(n2*u1*t1),
                 grid[u1, t2] = w**(u1*t2) and D_n2[t2, u2] = w**(n1*t2*u2)
                 for the split N = n1*n2.  The "mul" kernel at a
-                power-of-two N <= 1024 where max(n1, n2)*(m-1)**2 < 2**63.
+                power-of-two N <= 1024 where n2 <= H.
       Stockham  ``dense`` is None; the radix-2 loop.  reduction_stages
-                lists its stages (0 for the first, which makes
-                transforms of length 2) before which the lazy
-                butterflies must reduce the array to [0, m) to keep
-                int64 exact.
+                holds range(H, log2 N, H): the stages (0 for the
+                first, which makes transforms of length 2) before which
+                the lazy butterflies reduce the array to [0, m).
 
-    Other lengths, and the direct functions, take the direct route.
-    build_plan fills the tables once and nothing is cached later, so
-    plans are immutable and safe to share across threads.  The tables
-    follow from (length, modulus, root_step, kernel) and take no part
-    in equality or hashing.
+    Other lengths, and the direct functions, take the direct route,
+    which reads only the twiddles.  build_plan fills the tables once
+    and nothing is cached later, so plans are immutable and safe to
+    share across threads.  The tables follow from (length, modulus,
+    root_step, kernel) and take no part in equality or hashing.
     """
 
     length: int
@@ -312,43 +302,42 @@ def _resolve_modulus(modulus) -> tuple[int, int]:
     return m, order
 
 
-def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
-    """Fast-path stages that must start from residues reduced to [0, m).
+def _headroom(m: int) -> int:
+    """How many products of two residues mod m one int64 sum holds: the
+    largest k with k*m*(m-1) < 2**63, at least 2 for every m < 2**31."""
+    k = (INT64_LIMIT - 1) // (m * (m - 1))
+    assert k >= 2, f"int64 holds fewer than two products mod {m}"
+    return k
 
-    A lazy butterfly stage whose entries have magnitudes below bound
-    multiplies the upper half by twiddles below m, which is exact while
-    bound*(m-1) < 2**63, and leaves magnitudes below bound + m.  The
-    schedule reduces before the first stage at which the product would
-    overflow, and the assertion checks the invariant at every stage.
+
+def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
+    """Stockham stages that must start from residues reduced to [0, m).
+
+    The lazy butterflies add m to the entries' magnitude bound per
+    stage, so the j-th stage after a reduction multiplies entries below
+    j*m by twiddles below m: exact while j <= H = _headroom(m).  The
+    loop therefore reduces before every H-th stage.
     """
+    h = _headroom(m)
     stages = length.bit_length() - 1 if modular.is_power_of_two(length) else 0
-    schedule = []
-    bound = m
-    for stage in range(stages):
-        if bound * (m - 1) >= INT64_LIMIT:
-            schedule.append(stage)
-            bound = m
-        assert bound * (m - 1) < INT64_LIMIT, f"stage {stage} overflows int64 mod {m}"
-        bound += m
-    return tuple(schedule)
+    schedule = tuple(range(h, stages, h))
+    assert all(
+        b - a <= h for a, b in zip((0, *schedule), (*schedule, stages))
+    ), f"Stockham loop overflows int64 mod {m}"
+    return schedule
 
 
 def _direct_block(length: int, m: int) -> int:
     """Inputs per Horner block of the direct path.
 
-    One step adds a row sum of B products below (m-1)**2 to the carried
-    term times w**(u*B), also below (m-1)**2, so it is exact in int64
-    while (B+1)*(m-1)**2 < 2**63.  B is the largest power of two up to
-    64 that divides the length and keeps that bound.
+    One step adds B products of two residues to the carried term times
+    w**(u*B), one more such product, so it is exact in int64 while
+    B + 1 <= _headroom(m).  B is the largest power of two up to 64 that
+    divides the length and keeps that bound.
     """
-    block = 1
-    while (
-        block < 64
-        and length % (2 * block) == 0
-        and (2 * block + 1) * (m - 1) ** 2 < INT64_LIMIT
-    ):
-        block *= 2
-    assert (block + 1) * (m - 1) ** 2 < INT64_LIMIT, f"direct path overflows int64 mod {m}"
+    h = _headroom(m)
+    block = min(length & -length, 64, 1 << (h - 1).bit_length() - 1)
+    assert block + 1 <= h, f"direct path overflows int64 mod {m}"
     return block
 
 
@@ -363,16 +352,16 @@ def _dense_split(length: int, m: int, kernel: str) -> tuple[int, int] | None:
     The dense route serves the "mul" kernel (it multiplies matrices) at
     power-of-two lengths up to DENSE_MAX_LENGTH, with n1 = 2**floor(k/2)
     for N = 2**k, so n1 <= n2.  Each matrix product adds up to
-    max(n1, n2) = n2 products below (m-1)**2 and is exact in int64 while
-    n2*(m-1)**2 < 2**63.  That holds for the registry primes at every
-    length up to 1024 they admit; it fails above 16 for 1214251009 and
-    above 64 for 825753601, which keep the Stockham loop there.
+    max(n1, n2) = n2 products of two residues, so it is exact in int64
+    while n2 <= _headroom(m).  That holds for the registry primes at
+    every length up to 1024 they admit; it fails above 16 for 1214251009
+    and above 64 for 825753601, which keep the Stockham loop there.
     """
     if kernel != "mul" or not modular.is_power_of_two(length) or length > DENSE_MAX_LENGTH:
         return None
     n1 = 1 << (length.bit_length() - 1) // 2
     n2 = length // n1
-    return (n1, n2) if n2 * (m - 1) ** 2 < INT64_LIMIT else None
+    return (n1, n2) if n2 <= _headroom(m) else None
 
 
 def _dense_tables(
@@ -383,7 +372,7 @@ def _dense_tables(
     Asserts the bound _dense_split decides by, so a split that bypasses
     the rule cannot build tables whose products would overflow int64.
     """
-    assert max(n1, n2) * (m - 1) ** 2 < INT64_LIMIT, f"dense route overflows int64 mod {m}"
+    assert max(n1, n2) <= _headroom(m), f"dense route overflows int64 mod {m}"
     n = n1 * n2
     i1, i2 = np.arange(n1, dtype=np.int64), np.arange(n2, dtype=np.int64)
     tables = (
@@ -408,10 +397,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     if kernel not in KERNELS:
         raise BadInput(f"kernel must be one of {KERNELS}, got {kernel!r}")
     m, order = _resolve_modulus(modulus)
-    try:
-        length = operator.index(length)
-    except TypeError:
-        raise BadInput(f"length must be an integer, got {length!r}") from None
+    length = modular._integer(length, "length")
     if length < 1:
         raise InvalidLength(f"length must be >= 1, got {length}")
     if order % length != 0:
@@ -458,6 +444,11 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
 
 
 def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
+    if not isinstance(x, ResidueSequence):
+        raise BadInput(
+            f"transforms take a ResidueSequence, got {type(x).__name__}; "
+            "build one with ResidueSequence.reduce(values, modulus)"
+        )
     if len(x) != plan.length:
         raise LengthMismatch(f"sequence length {len(x)} != plan length {plan.length}")
     if x.modulus != plan.modulus:
@@ -467,27 +458,16 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
 # -- kernels -----------------------------------------------------------
 
 
-def _factors(plan: TransformPlan) -> np.ndarray:
-    # the kernel's factor for twiddle j: twiddles[j] under "mul", the
-    # exponent root_step*j (below the root-2 order) under "shift"
+def _twiddle_product(odd: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # row k of the (L, C) array odd times w**(k*C), reduced to [0, m): the
+    # Stockham stage's twiddle product.  Under "shift" w**j = 2**(root_step*j)
+    # with j < N/2, so every shift is below half the root-2 order.
+    rows, cols = odd.shape
+    m = plan.modulus
     if plan.kernel == "shift":
-        return plan.root_step * np.arange(plan.length, dtype=np.int64)
-    return plan.twiddles
-
-
-def _product(a: np.ndarray, f: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # twiddle products of the entries a and the kernel's factors f,
-    # unreduced under "mul" (below (m-1) * max(a)), reduced under "shift"
-    if plan.kernel == "shift":
-        return _shift_mul_array(a, f, plan.modulus).astype(np.int64)
-    return a * f
-
-
-def _row_sum(rows: np.ndarray, x: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # sum_t x(t) * rows[u, t] for every u, unreduced
-    if plan.kernel == "shift":
-        return _product(x, rows, plan).sum(axis=1)
-    return rows @ x
+        exponents = plan.root_step * np.arange(0, rows * cols, cols, dtype=np.int64)
+        return _shift_mul_array(odd, exponents[:, None], m).astype(np.int64)
+    return _mod(odd * plan.twiddles[: rows * cols : cols, None], m)
 
 
 def _scale_inverse(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -507,17 +487,18 @@ def _scale_inverse(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 
 def _direct(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # Horner's rule in w**(u*B), from the last block of B inputs to the first
-    n, m = plan.length, plan.modulus
+    # Horner's rule in w**(u*B), from the last block of B inputs to the
+    # first, on the twiddles under either kernel: the reference shares no
+    # twiddle product with the fast routes it checks
+    n, m, w = plan.length, plan.modulus, plan.twiddles
     block = _direct_block(n, m)
-    f = _factors(plan)
     u = np.arange(n, dtype=np.int64)
-    rows = f[u[:, None] * np.arange(block, dtype=np.int64) % n]
-    step = f[u * block % n]
+    rows = w[u[:, None] * np.arange(block, dtype=np.int64) % n]
+    step = w[u * block % n]
     out = np.zeros(n, dtype=np.int64)
     for start in range(n - block, -1, -block):
-        out = _product(out, step, plan)
-        out += _row_sum(rows, vec[start : start + block], plan)
+        out *= step
+        out += rows @ vec[start : start + block]
         _mod(out, m, out=out)
     return out
 
@@ -554,7 +535,6 @@ def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # writing into the buffer the previous stage did not, so the input
     # is only read and the output comes out in natural order.
     n, m = plan.length, plan.modulus
-    f = _factors(plan)
     buffers = np.empty((2, n), dtype=np.int64)
     a = a.reshape(1, n)
     for stage in range(n.bit_length() - 1):
@@ -563,7 +543,7 @@ def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
         rows, half = a.shape[0], a.shape[1] // 2
         even, odd = a[:, :half], a[:, half:]
         # lazy butterfly: even + hi and even - hi, hi = odd*w mod m
-        hi = _mod(_product(odd, f[0 : rows * half : half, None], plan), m)
+        hi = _twiddle_product(odd, plan)
         out = buffers[stage % 2].reshape(2, rows, half)
         np.add(even, hi, out=out[0])
         np.subtract(even, hi, out=out[1])

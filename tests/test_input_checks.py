@@ -1,6 +1,8 @@
-"""Sequence entries and moduli must be integers (no silent truncation of
-floats), sequences must be one-dimensional, a big integer is an int, and
-an empty registry holds no modulus (no fallback to the built-in table)."""
+"""Sequence entries, moduli and every other integer argument must be
+integers (no silent truncation of floats), sequences must be
+one-dimensional, transforms take a ResidueSequence, a big integer is an
+int, and an empty registry holds no modulus (no fallback to the built-in
+table)."""
 
 from fractions import Fraction
 
@@ -18,7 +20,16 @@ from exactntt.convolution import (
     select_moduli,
 )
 from exactntt.errors import BadInput, BoundExceeded
-from exactntt.transform import ResidueSequence, build_plan, int_array, shift_mul
+from exactntt.transform import (
+    ResidueSequence,
+    build_plan,
+    forward_direct,
+    forward_fast,
+    int_array,
+    inverse_direct,
+    inverse_fast,
+    shift_mul,
+)
 
 REG = registry.builtin_rader_primes()
 PRIMES = [entry.prime for entry in REG]
@@ -184,3 +195,58 @@ def test_fermat_number_takes_an_integer_index():
         with pytest.raises(BadInput, match="Fermat index must be an integer, got 2.0"):
             call(2.0)
     assert registry.fermat_number(np.int64(2)) == 17
+
+
+# registry fields, select_moduli's arguments and convolve_crt's moduli follow the same rule
+
+
+@pytest.mark.parametrize(
+    "fields,name",
+    [((641, 5, 64.0), "n_max"), ((641, 5.0, 64), "fermat_index"), ((641.0, 5, 64), "prime"),
+     (("641", 5, 64), "prime")],
+)
+def test_rader_modulus_fields_are_integers(fields, name):
+    with pytest.raises(BadInput, match=f"{name} must be an integer"):
+        registry.RaderModulus(*fields)
+
+
+def test_rader_modulus_takes_numpy_integers_as_ints():
+    entry = registry.RaderModulus(np.int64(641), np.int32(5), np.int64(64))
+    assert entry == registry.RaderModulus(641, 5, 64) == REG[0]
+    assert all(type(v) is int for v in (entry.prime, entry.fermat_index, entry.n_max))
+    assert convolve_ntt([1, 2, 0, 0], [3, 4, 0, 0], entry) == [3, 10, 8, 0]
+    assert registry.verify_fermat_factor(entry)
+
+
+@pytest.mark.parametrize(
+    "length,bound,name",
+    [(4.5, 10, "length"), ("64", 10, "length"), (64, 10.0, "bound"), (64, None, "bound")],
+)
+def test_select_moduli_arguments_are_integers(length, bound, name):
+    with pytest.raises(BadInput, match=f"{name} must be an integer"):
+        select_moduli(length, bound)
+
+
+def test_select_moduli_takes_numpy_integers():
+    assert select_moduli(np.int64(64), np.int64(10)) == select_moduli(64, 10) == [REG[0]]
+
+
+@pytest.mark.parametrize("moduli", [641, 641.0, None])
+def test_convolve_crt_needs_an_iterable_of_moduli(moduli):
+    with pytest.raises(BadInput, match="moduli must be iterable, got"):
+        convolve_crt([1, 2, 0, 0], [3, 4, 0, 0], moduli)
+
+
+# transforms take a ResidueSequence; anything else is pointed to ResidueSequence.reduce
+
+
+@pytest.mark.parametrize("values", [[1, 2, 3, 4], np.array([1, 2, 3, 4]), (1, 2, 3, 4)])
+@pytest.mark.parametrize(
+    "transform_fn", [forward_fast, inverse_fast, forward_direct, inverse_direct]
+)
+def test_transforms_of_a_non_residue_sequence_raise_bad_input(transform_fn, values):
+    plan = build_plan(4, 641)
+    with pytest.raises(BadInput, match=r"got (list|ndarray|tuple); build one with ResidueSequence\.reduce"):
+        transform_fn(values, plan)
+    seq = ResidueSequence.reduce(values, 641)
+    assert transform_fn(seq, plan) == transform_fn(ResidueSequence([1, 2, 3, 4], 641), plan)

@@ -413,6 +413,24 @@ def test_shift_kernel_round_trip():
 # -- the blocked Horner direct path ------------------------------------------------
 
 
+def test_direct_path_never_calls_the_shift_kernel(monkeypatch):
+    # the reference shares no kernel code with the fast route it checks
+    plan = build_plan(64, 641, kernel="shift")
+    mul = build_plan(64, 641)
+    x = random_sequence(64, 641, 5)
+
+    def refuse(*args):
+        raise AssertionError("shift kernel called")
+
+    monkeypatch.setattr(transform, "_shift_mul_array", refuse)
+    assert forward_direct(x, plan) == forward_direct(x, mul)
+    assert inverse_direct(x, plan) == inverse_direct(x, mul)
+    for fast in (forward_fast, inverse_fast):
+        with pytest.raises(AssertionError, match="shift kernel called"):
+            fast(x, plan)
+
+
+
 def test_direct_streaming_path_matches_fast():
     m = registry.find_modulus(13631489)
     n = 8192
@@ -430,10 +448,11 @@ def test_direct_streaming_path_matches_fast():
     ],
 )
 def test_direct_block_size(m, n, block):
-    # the largest power of two up to 64 dividing N with (B+1)*(m-1)**2 < 2**63
+    # the largest power of two up to 64 dividing N with B + 1 <= _headroom(m)
+    h = transform._headroom(m)
     assert transform._direct_block(n, m) == block
-    assert (block + 1) * (m - 1) ** 2 < 2**63
-    assert block == 64 or n % (2 * block) or (2 * block + 1) * (m - 1) ** 2 >= 2**63
+    assert (block + 1) * m * (m - 1) < 2**63 and block + 1 <= h
+    assert block == 64 or n % (2 * block) or 2 * block + 1 > h
 
 
 def test_first_direct_round_trip_keeps_no_dense_matrix():
@@ -523,3 +542,38 @@ def test_dense_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, split):
     x = random_sequence(32, 13631489, 1)
     assert forward_fast(x, plan) == forward_direct(x, plan)
     assert inverse_fast(x, plan) == inverse_direct(x, plan)
+
+
+# -- one int64 headroom rule ----------------------------------------------------
+
+# the primes above, two just below 2**31, and small primes whose orders
+# admit lengths that are not powers of two
+HEADROOM_PRIMES = DENSE_PRIMES + [2013265921, 2**31 - 1, 7, 13, 17]
+
+
+@pytest.mark.parametrize("m", HEADROOM_PRIMES)
+def test_headroom_is_the_most_products_one_int64_sum_holds(m):
+    h = transform._headroom(m)
+    assert h >= 2 and h * m * (m - 1) < 2**63 <= (h + 1) * m * (m - 1)
+
+
+def test_headroom_of_the_widest_primes():
+    widest = (1214251009, 825753601, 2013265921, 2**31 - 1)
+    assert [transform._headroom(m) for m in widest] == [6, 13, 2, 2]
+
+
+@pytest.mark.parametrize("m", DENSE_PRIMES)
+def test_every_admitted_plan_follows_the_headroom_rule(m):
+    h = transform._headroom(m)
+    order = modular.multiplicative_order(2, m)
+    for k in range(order.bit_length()):
+        n = 1 << k
+        plan = build_plan(n, m)
+        assert plan.reduction_stages == tuple(range(h, k, h))
+        assert transform._direct_block(n, m) + 1 <= h
+        for kernel in transform.KERNELS:
+            split = transform._dense_split(n, m, kernel)
+            assert split is None or split[1] <= h
+        assert (plan.dense is None) == (transform._dense_split(n, m, "mul") is None)
+        if plan.dense is not None:
+            assert plan.dense[2].shape[0] <= h
