@@ -8,53 +8,58 @@ X(u) = sum_t x(t) * w**(u*t):
              at any admitted length and with no N x N matrix.  It reads
              only the twiddles, under either kernel: it is the reference
              the fast routes are checked against.
-  dense      the fast route of a "mul" plan at a power-of-two N <= 1024:
-             with t = t1*n2 + t2 and u = u1 + n1*u2, a length-n1
-             transform down the columns of x as an (n1, n2) matrix
-             (D_n1 @ x), the twiddle grid w**(u1*t2) entrywise, and a
-             length-n2 transform along the rows (@ D_n2), read out
-             transposed.  At N = 1024 it is about twice as fast as the
-             Stockham loop, whose ~7 ufunc calls per stage cost more in
-             call overhead than in work; at N = 4096 it is slower.
+  radix      the fast route of a "mul" plan at a power-of-two N > 1 on a
+             prime that passes the float rule below: a mixed-radix
+             Stockham loop of about log2(N)/6 stages, each one twiddle
+             product and one float64 BLAS matmul by an r x r table D_r.
+             Its ~10 numpy calls per stage replace up to six radix-2
+             stages of ~7 calls each (README gives measured times).
   Stockham   the fast route of every other power-of-two plan: a radix-2
              loop that reads its input and writes its output in natural
              order, leaving even + hi and even - hi (hi = odd*w mod m)
-             unreduced.
+             unreduced.  It serves the "shift" kernel and the primes
+             above about 2**26.5 (825753601, 1214251009, 2013265921).
 
 The fast routes fall back to the direct path at other lengths.  The
 inverse is the forward sum with its output index reversed, scaled by
 1/N: x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t).  A plan
-holds only read-only int64 tables, built once.
+holds only read-only tables, built once.
 
-All routes work on int64 arrays (moduli below 2**31), and every
+The routes work on int64 arrays (moduli below 2**31), and every
 reduction is _mod, a - (a // m)*m: numpy divides by a scalar through a
 precomputed reciprocal, so it costs about a third of int64 %.  It is
 exact for any int64 a and 0 < m < 2**63 (a wrap of q*m past +-2**63
 cancels in a - q*m) and floors, so negative entries reduce to [0, m).
 One rule bounds every unreduced int64 sum: it holds at most
 H = _headroom(m) products of two residues, the largest H with
-H*m*(m-1) < 2**63.  Each route takes its parameter from H and asserts
-it where it is chosen:
+H*m*(m-1) < 2**63.  One rule bounds every float64 sum: it holds at most
+F = _float_headroom(m) products of a balanced residue (|d| <= (m-1)/2)
+and a residue in [0, m), the largest F with F*((m-1)//2)*(m-1) < 2**53,
+so every partial sum is an integer float64 holds exactly, in whatever
+order BLAS adds them.  Each route takes its parameter from H or F and
+asserts it where it is chosen:
 
   Stockham   the j-th stage after a reduction multiplies entries below
              j*m by twiddles below m, so the loop reduces before every
              H-th stage (reduction_stages) and once at the end;
   direct     a Horner step adds B products to one more, so B + 1 <= H
              (_direct_block);
-  dense      a matrix product adds n2 >= n1 products, so n2 <= H
-             (_dense_split, _dense_tables).
+  radix      a stage's matmul adds r products of a balanced table entry
+             and a reduced residue, so r <= F (_radices, _radix_tables).
 
 A kernel, selected per plan, decides only the Stockham twiddle product
 and the 1/N scaling:
 
   "mul"    int64 multiplication by w**j, and by n_inverse.  Only this
-           kernel takes the dense route, which multiplies matrices.
+           kernel takes the radix route, which multiplies matrices.
   "shift"  w**j = 2**(root_step*j), so the product is shift_mul, one
            left shift and one reduction on Python ints; j < N/2 keeps
-           every shift below half the root-2 order.  1/N at a
-           power-of-two N is log2 N modular halvings.  No general
-           multiplication touches the data of a fast transform at a
-           power-of-two N, and the results are bit-identical to "mul".
+           every shift below half the root-2 order, and build_plan
+           refuses a plan whose widest shift exceeds MAX_SHIFT_BITS.
+           1/N at a power-of-two N is log2 N modular halvings.  No
+           general multiplication touches the data of a fast transform
+           at a power-of-two N, and the results are bit-identical to
+           "mul".
 """
 
 import array
@@ -78,6 +83,16 @@ KERNELS = ("mul", "shift")
 
 # Every value held in an int64 array must stay below this.
 INT64_LIMIT = 2**63
+# Every integer below this in magnitude, and every sum of them that stays
+# below it, is exact in float64.
+FLOAT64_EXACT = 2**53
+# Largest radix of the radix route: a stage's matmul work grows with r,
+# and 128 or 256 gained nothing clear over 64 at N = 256..4096.
+MAX_RADIX = 64
+# Widest shift a "shift" plan may make, root_step*(N/2 - 1) bits: the
+# most a registry prime needs (13631489 at N = 2**19, root_step 1).
+# Wider shifts build Python ints of that many bits per entry.
+MAX_SHIFT_BITS = 2**18
 
 
 def shift_mul(x: int, alpha: int, m: int) -> int:
@@ -247,18 +262,20 @@ class TransformPlan:
     root-2 order of modulus; twiddles[j] = 2**(root_step * j) mod
     modulus, as a read-only int64 array.  n_inverse undoes the length
     factor in the inverse transform.  The fast transforms take one of
-    two routes, fixed per plan by _dense_split; both keep every int64
-    sum within H = _headroom(modulus) products of two residues:
+    two routes, fixed per plan by _radices:
 
-      dense     ``dense`` holds the read-only int64 tables
-                (D_n1, grid, D_n2): D_n1[u1, t1] = w**(n2*u1*t1),
-                grid[u1, t2] = w**(u1*t2) and D_n2[t2, u2] = w**(n1*t2*u2)
-                for the split N = n1*n2.  The "mul" kernel at a
-                power-of-two N <= 1024 where n2 <= H.
-      Stockham  ``dense`` is None; the radix-2 loop.  reduction_stages
-                holds range(H, log2 N, H): the stages (0 for the
-                first, which makes transforms of length 2) before which
-                the lazy butterflies reduce the array to [0, m).
+      radix     ``radix_tables`` holds one read-only float64 r x r table
+                per stage, D_r[q, s] = w**(N*q*s/r) as a balanced
+                residue; stages of one radix share it.  The "mul" kernel
+                at a power-of-two N > 1 on a prime whose float64 rule,
+                r*((m-1)//2)*(m-1) < 2**53, admits r >= 2.  Each stage
+                gathers its twiddle grid from ``twiddles`` per call.
+      Stockham  ``radix_tables`` is None; the radix-2 loop, which keeps
+                every int64 sum within H = _headroom(modulus) products
+                of two residues.  reduction_stages holds
+                range(H, log2 N, H): the stages (0 for the first, which
+                makes transforms of length 2) before which the lazy
+                butterflies reduce the array to [0, m).
 
     Other lengths, and the direct functions, take the direct route,
     which reads only the twiddles.  build_plan fills the tables once
@@ -274,7 +291,7 @@ class TransformPlan:
     n_inverse: int
     reduction_stages: tuple[int, ...]
     twiddles: np.ndarray = field(repr=False, compare=False)
-    dense: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+    radix_tables: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -310,6 +327,14 @@ def _headroom(m: int) -> int:
     return k
 
 
+def _float_headroom(m: int) -> int:
+    """How many products of a balanced residue (|d| <= (m-1)/2) and a
+    residue in [0, m) one float64 sum holds exactly: the largest k with
+    k*((m-1)//2)*(m-1) < 2**53.  Every partial sum is then an integer
+    below 2**53, so BLAS may add the products in any order or split."""
+    return (FLOAT64_EXACT - 1) // ((m - 1) // 2 * (m - 1))
+
+
 def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
     """Stockham stages that must start from residues reduced to [0, m).
 
@@ -341,48 +366,49 @@ def _direct_block(length: int, m: int) -> int:
     return block
 
 
-# Longest plan that takes the dense route: at 2048 it is level with the
-# Stockham loop, at 4096 it is slower (its matrix products grow as N**1.5)
-DENSE_MAX_LENGTH = 1024
+def _radices(length: int, m: int, kernel: str) -> tuple[int, ...] | None:
+    """Stage radices of the radix route, or None for the radix-2 loop.
 
-
-def _dense_split(length: int, m: int, kernel: str) -> tuple[int, int] | None:
-    """The split N = n1*n2 of the dense route, or None for the Stockham loop.
-
-    The dense route serves the "mul" kernel (it multiplies matrices) at
-    power-of-two lengths up to DENSE_MAX_LENGTH, with n1 = 2**floor(k/2)
-    for N = 2**k, so n1 <= n2.  Each matrix product adds up to
-    max(n1, n2) = n2 products of two residues, so it is exact in int64
-    while n2 <= _headroom(m).  That holds for the registry primes at
-    every length up to 1024 they admit; it fails above 16 for 1214251009
-    and above 64 for 825753601, which keep the Stockham loop there.
+    The radix route serves the "mul" kernel (its matrix products
+    multiply) at power-of-two lengths N > 1 on primes that pass the
+    float rule with r >= 2.  r is the largest power of two up to
+    MAX_RADIX and _float_headroom(m); log2 N is split into as few stages
+    of at most log2 r as it takes, as evenly as possible.  Every registry
+    prime is below 2**24 and takes r = 64.  Primes above about 2**26.5,
+    such as 825753601, 1214251009 and 2013265921, admit no r >= 2 and
+    keep the radix-2 loop.
     """
-    if kernel != "mul" or not modular.is_power_of_two(length) or length > DENSE_MAX_LENGTH:
+    if kernel != "mul" or length < 2 or not modular.is_power_of_two(length):
         return None
-    n1 = 1 << (length.bit_length() - 1) // 2
-    n2 = length // n1
-    return (n1, n2) if n2 <= _headroom(m) else None
+    top = min(MAX_RADIX, _float_headroom(m)).bit_length() - 1
+    if top < 1:
+        return None
+    bits = length.bit_length() - 1
+    stages = -(-bits // top)
+    low, high = divmod(bits, stages)
+    return (2 << low,) * high + (1 << low,) * (stages - high)
 
 
-def _dense_tables(
-    twiddles: np.ndarray, n1: int, n2: int, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense route's read-only tables (D_n1, grid, D_n2) for N = n1*n2.
+def _radix_tables(
+    twiddles: np.ndarray, radices: tuple[int, ...], m: int
+) -> tuple[np.ndarray, ...]:
+    """The radix route's read-only float64 tables, one per stage:
+    D_r[q, s] = w**(N*q*s/r) mod m as a balanced residue in
+    [-(m-1)/2, (m-1)/2].  Stages of one radix share one table.
 
-    Asserts the bound _dense_split decides by, so a split that bypasses
-    the rule cannot build tables whose products would overflow int64.
+    Asserts the float rule _radices decides by, so radices that bypass
+    it cannot build tables whose matmuls would round.
     """
-    assert max(n1, n2) <= _headroom(m), f"dense route overflows int64 mod {m}"
-    n = n1 * n2
-    i1, i2 = np.arange(n1, dtype=np.int64), np.arange(n2, dtype=np.int64)
-    tables = (
-        twiddles[n2 * np.outer(i1, i1) % n],
-        twiddles[np.outer(i1, i2)],
-        twiddles[n1 * np.outer(i2, i2) % n],
-    )
-    for table in tables:
+    assert max(radices) <= _float_headroom(m), f"radix route overflows float64 mod {m}"
+    n, half = len(twiddles), (m - 1) // 2
+    tables = {}
+    for r in set(radices):
+        i = np.arange(r, dtype=np.int64)
+        d = twiddles[n // r * (np.outer(i, i) % r)]
+        table = np.where(d > half, d - m, d).astype(np.float64)
         table.flags.writeable = False
-    return tables
+        tables[r] = table
+    return tuple(tables[r] for r in radices)
 
 
 def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
@@ -405,6 +431,13 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
             f"length {length} does not divide the root-2 order {order} of {m}"
         )
     step = order // length
+    if kernel == "shift" and modular.is_power_of_two(length):
+        width = step * (length // 2 - 1)
+        if width > MAX_SHIFT_BITS:
+            raise BadInput(
+                f"shift kernel mod {m} at length {length}: the widest shift, "
+                f"{width} bits, exceeds 2^18"
+            )
     root = pow(2, step, m)
 
     arr = np.ones(length, dtype=np.int64)
@@ -430,7 +463,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     n_inverse = modular.mod_inverse(length % m, m)
     assert length * n_inverse % m == 1
     arr.flags.writeable = False
-    split = _dense_split(length, m, kernel)
+    radices = _radices(length, m, kernel)
     return TransformPlan(
         length=length,
         modulus=m,
@@ -439,7 +472,7 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         n_inverse=n_inverse,
         reduction_stages=_reduction_schedule(length, m),
         twiddles=arr,
-        dense=None if split is None else _dense_tables(arr, *split, m),
+        radix_tables=None if radices is None else _radix_tables(arr, radices, m),
     )
 
 
@@ -516,16 +549,30 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 # -- fast path ---------------------------------------------------------
 
 
-def _dense(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # x as an (n1, n2) matrix, x[t1*n2 + t2]; the result's entry (u1, u2)
-    # is X(u1 + n1*u2), so it reads out transposed
-    d1, grid, d2 = plan.dense
-    n1, n2 = grid.shape
-    m = plan.modulus
-    y = _mod(d1 @ a.reshape(n1, n2), m)
-    y *= grid
-    _mod(y, m, out=y)
-    return _mod(y @ d2, m).T.reshape(plan.length)
+def _radix(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # Stockham autosort as in _fast, r columns at a time: a stage views
+    # the (L, C) array as (L, r, C/r), multiplies column block s of row k
+    # by w**(C/r*s*k), and joins the r blocks with D_r in one float64
+    # matmul into the (r*L, C/r) view, whose row k + L*q is frequency
+    # k + L*q.  The twiddle grid is gathered per call, so the plan holds
+    # no N-entry stage table.
+    n, m, w = plan.length, plan.modulus, plan.twiddles
+    a = a.reshape(1, n)
+    for table in plan.radix_tables:
+        r = table.shape[0]
+        rows, cols = a.shape[0], a.shape[1] // r
+        if rows == 1:
+            x = a.astype(np.float64).reshape(r, cols)
+        else:
+            grid = w[np.arange(0, rows * cols, cols)[:, None] * np.arange(r)]
+            x = a.reshape(rows, r, cols) * grid[:, :, None]
+            x = _mod(x, m, out=x).astype(np.float64)
+            # the (r, L*C/r) operand: a transposed view BLAS reads as is
+            # when C/r = 1, else a copy
+            x = x.transpose(1, 0, 2).reshape(r, rows * cols)
+        y = table @ x
+        a = _mod(y.astype(np.int64), m).reshape(r * rows, cols)
+    return a.reshape(n)
 
 
 def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -552,7 +599,7 @@ def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
 
 
 def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
-    """Fast forward transform, dense or Stockham as the plan decides;
+    """Fast forward transform, radix or Stockham as the plan decides;
     bit-exact equal to forward_direct.
 
     Lengths that are not powers of two fall back to the direct path.
@@ -573,8 +620,8 @@ def _transform(
     x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * root**(u*t)."""
     _check_input(x, plan)
     a = np.asarray(x)  # read-only; no core writes its input
-    if fast and plan.dense is not None:
-        out = _dense(a, plan)
+    if fast and plan.radix_tables is not None:
+        out = _radix(a, plan)
     elif fast and modular.is_power_of_two(plan.length):
         out = _fast(a, plan)
     else:

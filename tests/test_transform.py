@@ -404,6 +404,17 @@ def test_normalize_shift_scales_by_n_inverse(m, n):
     assert scaled.tolist() == [v * plan.n_inverse % m for v in values]
 
 
+def test_shift_plan_refuses_shifts_wider_than_2_18():
+    # root_step * (N/2 - 1) bits: root_step = 15 * 2**24 mod 2013265921 at N = 4
+    with pytest.raises(BadInput, match="251658240 bits"):
+        build_plan(4, PLAIN_PRIME, kernel="shift")
+    # the widest shift a registry prime needs, 2**18 - 1 bits, is admitted
+    plan = build_plan(1 << 19, 13631489, kernel="shift")
+    assert plan.root_step * ((1 << 18) - 1) <= transform.MAX_SHIFT_BITS
+    build_plan(1 << 19, 13631489, kernel="mul")  # no width rule under "mul"
+    build_plan(4, PLAIN_PRIME, kernel="mul")
+
+
 def test_shift_kernel_round_trip():
     plan = build_plan(16, 641, kernel="shift")
     x = random_sequence(16, 641, 3)
@@ -472,83 +483,105 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     assert grown_kib < 32 * 1024, f"max RSS grew by {grown_kib / 1024:.1f} MiB"
 
 
-# -- the dense route ----------------------------------------------------------
+# -- the radix route ----------------------------------------------------------
 
-# the registry primes, and the two primes near 2**30 whose (m-1)**2 leaves
-# room for only 4 and 8 products per int64 sum
-DENSE_PRIMES = [e.prime for e in registry.builtin_rader_primes()] + [1214251009, 825753601]
+# the registry primes, and the two primes near 2**30 whose (m-1)**2 is too
+# wide for the float rule, so they keep the radix-2 loop
+RADIX_PRIMES = [e.prime for e in registry.builtin_rader_primes()] + [1214251009, 825753601]
 
 
-@pytest.mark.parametrize("m", DENSE_PRIMES)
-def test_dense_equals_stockham_and_direct(m):
+@pytest.mark.parametrize("m", RADIX_PRIMES)
+def test_radix_equals_stockham_and_direct(m):
     order = modular.multiplicative_order(2, m)
-    for n in (1 << k for k in range(11)):
+    for n in (1 << k for k in range(13)):
         if order % n:
             continue
         plan = build_plan(n, m)
-        assert (plan.dense is None) == (transform._dense_split(n, m, "mul") is None)
-        stockham = replace(plan, dense=None)
+        assert (plan.radix_tables is None) == (transform._radices(n, m, "mul") is None)
+        stockham = replace(plan, radix_tables=None)
         # all m-1 is the largest sum each matrix product can meet
         for x in (random_sequence(n, m, n), ResidueSequence([m - 1] * n, m)):
             assert forward_fast(x, plan) == forward_fast(x, stockham) == forward_direct(x, plan)
             assert inverse_fast(x, plan) == inverse_fast(x, stockham) == inverse_direct(x, plan)
 
 
+@pytest.mark.long
+def test_radix_equals_stockham_at_2_19():
+    # four stages (32, 32, 32, 16); two of them transpose a 3-D view
+    n, m = 1 << 19, 13631489
+    plan = build_plan(n, m)
+    assert [table.shape[0] for table in plan.radix_tables] == [32, 32, 32, 16]
+    stockham = replace(plan, radix_tables=None)
+    for x in (random_sequence(n, m, 19), ResidueSequence([m - 1] * n, m)):
+        spectrum = forward_fast(x, plan)
+        assert spectrum == forward_fast(x, stockham)
+        assert inverse_fast(spectrum, plan) == inverse_fast(spectrum, stockham) == x
+
+
 @pytest.mark.parametrize(
-    "n,m,kernel,split",
+    "n,m,kernel,radices",
     [
-        (1, 641, "mul", (1, 1)), (2, 641, "mul", (1, 2)), (64, 641, "mul", (8, 8)),
-        (512, 2424833, "mul", (16, 32)), (1024, 13631489, "mul", (32, 32)),
+        (1, 641, "mul", None), (2, 641, "mul", (2,)), (64, 641, "mul", (64,)),
+        (512, 2424833, "mul", (32, 16)), (1024, 13631489, "mul", (32, 32)),
         (1024, 13631489, "shift", None), (64, 641, "shift", None),
-        (2048, 13631489, "mul", None), (4096, 319489, "mul", None),
-        (16, 1214251009, "mul", (4, 4)), (32, 1214251009, "mul", None),
-        (64, 825753601, "mul", (8, 8)), (128, 825753601, "mul", None),
-        (12, 13, "mul", None), (4, PLAIN_PRIME, "mul", (2, 2)), (8, PLAIN_PRIME, "mul", None),
+        (2048, 13631489, "mul", (64, 32)), (4096, 319489, "mul", (64, 64)),
+        (16, 1214251009, "mul", None), (32, 1214251009, "mul", None),
+        (64, 825753601, "mul", None), (128, 825753601, "mul", None),
+        (12, 13, "mul", None), (4, PLAIN_PRIME, "mul", None), (8, PLAIN_PRIME, "mul", None),
+        (8, 17, "mul", (8,)), (1 << 16, 13631489, "mul", (64, 32, 32)),
+        (1 << 19, 13631489, "mul", (32, 32, 32, 16)),
     ],
 )
-def test_dense_split(n, m, kernel, split):
-    # "mul" at a power of two up to 1024, n1 <= n2, while n2*(m-1)**2 < 2**63
-    assert transform._dense_split(n, m, kernel) == split
+def test_radices(n, m, kernel, radices):
+    # "mul" at a power of two N > 1 on a prime whose float64 rule admits
+    # r >= 2: as few stages of at most min(64, _float_headroom(m)) as it
+    # takes, as even as they can be
+    assert transform._radices(n, m, kernel) == radices
     plan = build_plan(n, m, kernel)
-    if split is None:
-        assert plan.dense is None
+    if radices is None:
+        assert plan.radix_tables is None
         return
-    n1, n2 = split
-    assert n1 * n2 == n and n1 <= n2 and n2 * (m - 1) ** 2 < 2**63
-    assert [table.shape for table in plan.dense] == [(n1, n1), (n1, n2), (n2, n2)]
+    assert np.prod(radices) == n and max(radices) <= 2 * min(radices)
+    assert all(r <= transform.MAX_RADIX and r * ((m - 1) // 2) * (m - 1) < 2**53 for r in radices)
+    assert [table.shape for table in plan.radix_tables] == [(r, r) for r in radices]
 
 
-def test_dense_tables_are_read_only_and_outside_equality():
-    plan = build_plan(1024, 13631489)
-    d1, grid, d2 = plan.dense
+def test_radix_tables_are_read_only_and_outside_equality():
+    n, m = 1 << 16, 13631489
+    plan = build_plan(n, m)
+    tables = plan.radix_tables
+    # stages of one radix share one table
+    assert [table.shape[0] for table in tables] == [64, 32, 32] and tables[1] is tables[2]
     w = plan.twiddles
-    assert d1[3, 5] == w[32 * 15] and grid[3, 5] == w[15] and d2[3, 5] == w[32 * 15]
-    assert sum(table.nbytes for table in plan.dense) == 24 * 1024
-    for table in plan.dense:
-        assert table.dtype == np.int64
+    d = int(w[n // 64 * 15])
+    assert tables[0][3, 5] == (d if d <= m // 2 else d - m)
+    for table in tables:
+        assert table.dtype == np.float64 and np.abs(table).max() <= (m - 1) // 2
         with pytest.raises(ValueError):
             table[0, 0] = 5
-    assert plan == replace(plan, dense=None) and "dense" not in repr(plan)
+    assert plan == replace(plan, radix_tables=None) and "radix_tables" not in repr(plan)
 
 
-@pytest.mark.parametrize("split", [(4, 8), (8, 4)])
-def test_dense_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, split):
-    monkeypatch.setattr(transform, "_dense_split", lambda n, m, kernel: split)
-    with pytest.raises(AssertionError, match="dense route overflows int64 mod 1214251009"):
-        build_plan(32, 1214251009)
-    # a split the rule would not pick is still exact where the bound holds
-    plan = build_plan(32, 13631489)
-    assert plan.dense[1].shape == split
-    x = random_sequence(32, 13631489, 1)
-    assert forward_fast(x, plan) == forward_direct(x, plan)
-    assert inverse_fast(x, plan) == inverse_direct(x, plan)
+@pytest.mark.parametrize("radices", [(128, 2), (2, 128), (2,) * 8])
+def test_radix_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, radices):
+    monkeypatch.setattr(transform, "_radices", lambda n, m, kernel: radices)
+    # 13631489 admits r <= 96: _float_headroom(13631489) == 96
+    if max(radices) > 96:
+        with pytest.raises(AssertionError, match="radix route overflows float64 mod 13631489"):
+            build_plan(256, 13631489)
+    # radices the rule would not pick are still exact where the bound holds
+    plan = build_plan(256, 319489)
+    assert [table.shape[0] for table in plan.radix_tables] == list(radices)
+    for x in (random_sequence(256, 319489, 1), ResidueSequence([319488] * 256, 319489)):
+        assert forward_fast(x, plan) == forward_direct(x, plan)
+        assert inverse_fast(x, plan) == inverse_direct(x, plan)
 
 
 # -- one int64 headroom rule ----------------------------------------------------
 
 # the primes above, two just below 2**31, and small primes whose orders
 # admit lengths that are not powers of two
-HEADROOM_PRIMES = DENSE_PRIMES + [2013265921, 2**31 - 1, 7, 13, 17]
+HEADROOM_PRIMES = RADIX_PRIMES + [2013265921, 2**31 - 1, 7, 13, 17]
 
 
 @pytest.mark.parametrize("m", HEADROOM_PRIMES)
@@ -557,14 +590,20 @@ def test_headroom_is_the_most_products_one_int64_sum_holds(m):
     assert h >= 2 and h * m * (m - 1) < 2**63 <= (h + 1) * m * (m - 1)
 
 
+@pytest.mark.parametrize("m", HEADROOM_PRIMES)
+def test_float_headroom_is_the_most_products_one_float64_sum_holds(m):
+    f, half = transform._float_headroom(m), (m - 1) // 2
+    assert f * half * (m - 1) < 2**53 <= (f + 1) * half * (m - 1)
+
+
 def test_headroom_of_the_widest_primes():
     widest = (1214251009, 825753601, 2013265921, 2**31 - 1)
     assert [transform._headroom(m) for m in widest] == [6, 13, 2, 2]
 
 
-@pytest.mark.parametrize("m", DENSE_PRIMES)
+@pytest.mark.parametrize("m", RADIX_PRIMES)
 def test_every_admitted_plan_follows_the_headroom_rule(m):
-    h = transform._headroom(m)
+    h, f = transform._headroom(m), transform._float_headroom(m)
     order = modular.multiplicative_order(2, m)
     for k in range(order.bit_length()):
         n = 1 << k
@@ -572,8 +611,8 @@ def test_every_admitted_plan_follows_the_headroom_rule(m):
         assert plan.reduction_stages == tuple(range(h, k, h))
         assert transform._direct_block(n, m) + 1 <= h
         for kernel in transform.KERNELS:
-            split = transform._dense_split(n, m, kernel)
-            assert split is None or split[1] <= h
-        assert (plan.dense is None) == (transform._dense_split(n, m, "mul") is None)
-        if plan.dense is not None:
-            assert plan.dense[2].shape[0] <= h
+            radices = transform._radices(n, m, kernel)
+            assert radices is None or max(radices) <= f
+        assert (plan.radix_tables is None) == (transform._radices(n, m, "mul") is None)
+        if plan.radix_tables is not None:
+            assert max(table.shape[0] for table in plan.radix_tables) <= f
