@@ -546,7 +546,8 @@ def test_radices(n, m, kernel, radices):
     assert [table.shape for table in plan.radix_tables] == [(r, r) for r in radices]
 
 
-def test_radix_tables_are_read_only_and_outside_equality():
+def test_dense_tables_are_read_only_and_outside_equality():
+    # the radix route's dense r x r DFT tables, one per stage
     n, m = 1 << 16, 13631489
     plan = build_plan(n, m)
     tables = plan.radix_tables
@@ -562,16 +563,18 @@ def test_radix_tables_are_read_only_and_outside_equality():
     assert plan == replace(plan, radix_tables=None) and "radix_tables" not in repr(plan)
 
 
-@pytest.mark.parametrize("radices", [(128, 2), (2, 128), (2,) * 8])
-def test_radix_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, radices):
-    monkeypatch.setattr(transform, "_radices", lambda n, m, kernel: radices)
+@pytest.mark.parametrize("split", [(128, 2), (2, 128), (2,) * 8])
+def test_dense_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, split):
+    # a split of log2 N into stage radices that bypasses _radices: the float
+    # rule on each dense r x r table product is asserted in _radix_tables
+    monkeypatch.setattr(transform, "_radices", lambda n, m, kernel: split)
     # 13631489 admits r <= 96: _float_headroom(13631489) == 96
-    if max(radices) > 96:
+    if max(split) > 96:
         with pytest.raises(AssertionError, match="radix route overflows float64 mod 13631489"):
             build_plan(256, 13631489)
     # radices the rule would not pick are still exact where the bound holds
     plan = build_plan(256, 319489)
-    assert [table.shape[0] for table in plan.radix_tables] == list(radices)
+    assert [table.shape[0] for table in plan.radix_tables] == list(split)
     for x in (random_sequence(256, 319489, 1), ResidueSequence([319488] * 256, 319489)):
         assert forward_fast(x, plan) == forward_direct(x, plan)
         assert inverse_fast(x, plan) == inverse_direct(x, plan)
