@@ -62,8 +62,8 @@ and the 1/N scaling:
            "mul".
 """
 
-import array
 import operator
+import struct
 from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
@@ -130,12 +130,19 @@ def int_array(values) -> np.ndarray:
             raise BadInput(f"sequence must be 1-D, got an array of rank {values.ndim}")
         return values.astype(np.int64, copy=False)
     try:
-        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-        # "q" takes entries through __index__: TypeError on a float,
-        # OverflowError beyond int64
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        if not isinstance(values, list):
+            values = list(values)
+        out = np.empty(len(values), dtype=np.int64)
+        # struct packs each entry through __index__ in one C loop and
+        # raises struct.error on a non-integer or an entry beyond int64;
+        # the object path sorts the two apart: operator.index raises
+        # TypeError on a non-integer, and big ints stay exact
         try:
-            return np.frombuffer(array.array("q", values), dtype=np.int64)
-        except OverflowError:
+            struct.pack_into(f"{len(values)}q", out, 0, *values)
+            return out
+        except struct.error:
             return np.array([operator.index(v) for v in values], dtype=object)
     except TypeError as exc:
         raise BadInput(f"sequence entries must be integers: {exc}") from None

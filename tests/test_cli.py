@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -215,6 +217,21 @@ def test_convolve_explicit_crt_set(tmp_path, capsys):
 
 def test_convolve_self_test():
     assert run(["convolve", "--self-test"]) == 0
+
+
+def test_convolve_failing_self_test_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli.convolution, "convolve_ntt", lambda f, g, m: [0] * len(g))
+    assert run(["convolve", "--self-test"]) == 1
+    assert "self-test FAILED" in capsys.readouterr().err
+
+
+def test_cli_module_runs_as_a_script():
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactntt.cli", "convolve", "--self-test"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "self-test ok" in proc.stderr
 
 
 def test_convolve_auto_escalates_to_crt(tmp_path, capsys):

@@ -110,6 +110,8 @@ def test_plan_bad_inputs():
         build_dyadic_plan(2, 16, 4, 6)  # even root
     with pytest.raises(BadInput):
         build_dyadic_plan(0, 16, 4, 3)
+    with pytest.raises(BadInput, match="bit depth"):
+        build_dyadic_plan(2, 16, -1, 3)
 
 
 def test_validator_matches_orthogonality_oracle():
@@ -183,6 +185,8 @@ def test_input_range_enforced():
         dyadic_forward([1, 2, 3], plan)
     with pytest.raises(InputOutOfRange):
         dyadic_inverse([1 << 16, 0], plan)
+    with pytest.raises(LengthMismatch):
+        dyadic_inverse([1, 2, 3], plan)
 
 
 def test_rejected_plan_refused_by_transforms():

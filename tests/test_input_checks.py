@@ -50,11 +50,16 @@ PRIMES = [entry.prime for entry in REG]
         lambda: deconvolve([1, 2, 3, 4], [1, 0, 0, np.float64(0)], 17),
         lambda: convolve_direct(["1", 2], [1, 0]),
         lambda: int_array(5),
+        # the pack fails only at the last entry
+        lambda: int_array([7] * 65535 + [1.0]),
+        lambda: int_array([7] * 65535 + [None]),
+        lambda: int_array([7] * 65535 + ["7"]),
     ],
     ids=[
         "ntt-float", "ntt-integral-float", "direct-float-array", "direct-fraction",
         "reduce-float", "residues-float", "residues-float-array", "crt-big-float",
         "crt-float-after-big-int", "deconvolve-numpy-float", "direct-string", "scalar",
+        "last-of-65536-float", "last-of-65536-none", "last-of-65536-string",
     ],
 )
 def test_non_integral_entries_raise_bad_input(call):
@@ -101,6 +106,26 @@ def test_integer_entries_are_still_accepted():
     assert int_array(np.array([2**64 - 1], dtype=np.uint64)).tolist() == [2**64 - 1]
     assert int_array(iter([1, 2])).dtype == np.int64
     assert int_array([]).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([2**63 - 1, -(2**63)], np.int64),
+        ([2**63, 0], object),
+        ([-(2**63) - 1, 0], object),
+        ([True, np.int32(-3), np.uint64(2**63 - 1)], np.int64),
+        ((5, 6), np.int64),
+        (np.array([2**63], dtype=np.uint64), object),
+    ],
+    ids=["int64-ends", "above-int64", "below-int64", "bool-and-numpy", "tuple", "uint64-array"],
+)
+def test_int_array_keeps_values_and_is_writable(values, dtype):
+    arr = int_array(values)
+    assert arr.dtype == dtype
+    assert arr.tolist() == [int(v) for v in values]
+    assert all(type(v) is int for v in arr.tolist())
+    assert arr.flags.writeable
 
 
 def test_empty_registry_selects_nothing():

@@ -189,6 +189,13 @@ def test_lambda_examples():
     assert modular.carmichael_lambda(2) == 1
 
 
+@pytest.mark.parametrize("function", [modular.factorize, modular.totient, modular.carmichael_lambda])
+@pytest.mark.parametrize("n", [0, -6])
+def test_number_theoretic_functions_reject_arguments_below_1(function, n):
+    with pytest.raises(BadInput):
+        function(n)
+
+
 def test_lambda_four_is_two():
     # the even prime-power edge case: 3*3 == 9 == 1 (mod 4)
     assert modular.carmichael_lambda(4) == 2

@@ -135,6 +135,16 @@ def test_registry_entry_above_the_int64_range_is_rejected():
     assert info.value.clause == "range"
 
 
+def test_registry_entry_off_the_euler_form_is_rejected(monkeypatch):
+    # every prime passing verify_fermat_factor has Euler's form, so the
+    # clause is reached only with that check bypassed: 7 - 1 is not a
+    # multiple of 2^(2+2)
+    monkeypatch.setattr(registry, "verify_fermat_factor", lambda m: True)
+    with pytest.raises(VerificationFailed, match="not divisible by 16") as info:
+        registry.validate_registry_entry(registry.RaderModulus(7, 2, 8))
+    assert info.value.clause == "euler-form"
+
+
 # -- mersenne factor table ----------------------------------------------------
 
 

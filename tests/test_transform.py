@@ -17,6 +17,7 @@ from exactntt.errors import (
     InvalidLength,
     LengthMismatch,
     ModulusMismatch,
+    ModulusTooSmall,
     VerificationFailed,
 )
 from exactntt.transform import (
@@ -126,6 +127,8 @@ def test_plan_rejects_composites_and_bad_kernels():
         build_plan(10, 341)  # composite: spectra need not be invertible
     with pytest.raises(BadInput):
         build_plan(2, 9)
+    with pytest.raises(ModulusTooSmall, match="odd prime >= 3"):
+        build_plan(1, 2)
     with pytest.raises(BadInput):
         build_plan(4, 5, kernel="simd")
     # a composite smuggled inside a hand-built descriptor is still caught
@@ -167,6 +170,8 @@ def test_residue_sequence_validation():
         ResidueSequence((-1,), 5)
     seq = ResidueSequence.reduce([-1, 6, 12], 5)
     assert seq.values == (4, 1, 2)
+    assert repr(seq) == "ResidueSequence(values=(4, 1, 2), modulus=5)"
+    assert eval(repr(seq), {"ResidueSequence": ResidueSequence}) == seq
 
 
 def test_input_mismatch_errors():
@@ -360,6 +365,11 @@ def test_shift_mul_examples():
     assert shift_mul(3, 1, 7) == 6
     assert shift_mul(5, 3, 7) == 5
     assert shift_mul(4, 0, 9) == 4
+
+
+def test_shift_mul_rejects_a_negative_shift():
+    with pytest.raises(BadInput, match="negative shift"):
+        shift_mul(3, -1, 7)
 
 
 def test_shift_mul_full_cycle_is_identity():
