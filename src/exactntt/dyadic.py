@@ -14,6 +14,7 @@ validated/rejected verdict with a concrete witness on rejection.
 
 from dataclasses import dataclass
 
+from . import modular
 from .errors import (
     BadInput,
     HeadroomViolation,
@@ -29,6 +30,7 @@ def verify_carmichael_dyadic(a: int, alpha: int) -> bool:
     Holds for every odd a and alpha >= 3; this check exists so the
     property backing the whole module can be exercised directly.
     """
+    a, alpha = modular._integer(a, "root"), modular._integer(alpha, "alpha")
     if alpha < 3:
         raise BadInput(f"need alpha >= 3, got {alpha}")
     if a % 2 == 0:
@@ -72,6 +74,10 @@ def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPl
     every off-axis power sum vanishes: sum_u root**(u*k) == 0
     (mod 2**alpha) for 0 < k < length.
     """
+    length = modular._integer(length, "length")
+    alpha = modular._integer(alpha, "alpha")
+    beta = modular._integer(beta, "data bit depth")
+    root = modular._integer(root, "root")
     if alpha < 3:
         raise BadInput(f"need alpha >= 3, got {alpha}")
     if root % 2 == 0:
@@ -120,10 +126,15 @@ def _require_validated(plan: DyadicPlan) -> None:
         raise BadInput(f"plan was rejected: {plan.reason}")
 
 
-def _check_data(x, plan: DyadicPlan) -> list[int]:
-    x = list(x)
+def _entries(x, plan: DyadicPlan) -> list[int]:
+    x = [modular._integer(v, "sequence entry") for v in x]
     if len(x) != plan.length:
         raise LengthMismatch(f"sequence length {len(x)} != plan length {plan.length}")
+    return x
+
+
+def _check_data(x, plan: DyadicPlan) -> list[int]:
+    x = _entries(x, plan)
     limit = 1 << plan.data_bits
     for v in x:
         if v < 0 or v >= limit:
@@ -164,9 +175,7 @@ def dyadic_inverse(X, plan: DyadicPlan) -> list[int]:
     raised.
     """
     _require_validated(plan)
-    X = list(X)
-    if len(X) != plan.length:
-        raise LengthMismatch(f"sequence length {len(X)} != plan length {plan.length}")
+    X = _entries(X, plan)
     n = plan.length
     for v in X:
         if v < 0 or v > plan.mask:

@@ -1,27 +1,25 @@
 """Forward/inverse transforms over a root-2 prime modulus.
 
-Three evaluation routes, all computing only the forward sum
+Two evaluation routes, both computing only the forward sum
 X(u) = sum_t x(t) * w**(u*t):
 
   direct     the O(N^2) sum by Horner's rule over blocks of B inputs,
              X(u) = sum_b w**(u*b*B) * sum_{t<B} x(b*B + t) * w**(u*t),
              at any admitted length and with no N x N matrix.  It reads
              only the twiddles, under either kernel: it is the reference
-             the fast routes are checked against.
-  radix      the fast route of a "mul" plan at a power-of-two N > 1 on a
-             prime that passes the float rule below: a mixed-radix
-             Stockham loop of about log2(N)/6 stages, each one twiddle
-             product and one float64 BLAS matmul by an r x r table D_r.
-             Its ~10 numpy calls per stage replace up to six radix-2
-             stages of ~7 calls each (README gives measured times).
-  Stockham   the fast route of every other power-of-two plan: a radix-2
-             loop that reads its input and writes its output in natural
-             order, leaving even + hi and even - hi (hi = odd*w mod m)
-             unreduced.  It serves the "shift" kernel and the primes
-             above about 2**26.5 (825753601, 1214251009, 2013265921).
+             the fast route is checked against.
+  Stockham   the fast route at a power-of-two N > 1: a mixed-radix loop
+             that reads its input and writes its output in natural
+             order.  A stage of radix r takes a twiddle product and joins
+             r blocks with an r x r table D_r: one float64 BLAS matmul
+             for r > 2, one add and one subtract for r = 2.  A "mul" plan
+             on a prime that passes the float rule below takes about
+             log2(N)/6 stages of r up to 64 (README gives measured
+             times); "shift" plans and the primes above about 2**26.5
+             (825753601, 1214251009, 2013265921) take log2 N radix-2
+             stages.
 
-The fast routes fall back to the direct path at other lengths.  The
-inverse is the forward sum with its output index reversed, scaled by
+The inverse is the forward sum with its output index reversed, scaled by
 1/N: x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * w**(u*t).  A plan
 holds only read-only tables, built once.
 
@@ -30,28 +28,27 @@ reduction is _mod, a - (a // m)*m: numpy divides by a scalar through a
 precomputed reciprocal, so it costs about a third of int64 %.  It is
 exact for any int64 a and 0 < m < 2**63 (a wrap of q*m past +-2**63
 cancels in a - q*m) and floors, so negative entries reduce to [0, m).
-One rule bounds every unreduced int64 sum: it holds at most
-H = _headroom(m) products of two residues, the largest H with
-H*m*(m-1) < 2**63.  One rule bounds every float64 sum: it holds at most
-F = _float_headroom(m) products of a balanced residue (|d| <= (m-1)/2)
-and a residue in [0, m), the largest F with F*((m-1)//2)*(m-1) < 2**53,
-so every partial sum is an integer float64 holds exactly, in whatever
-order BLAS adds them.  Each route takes its parameter from H or F and
-asserts it where it is chosen:
+Every Stockham stage starts and ends on residues in [0, m), so its
+twiddle products, and a radix-2 stage's sums of a residue and such a
+product, stay below m**2 < 2**62 in magnitude.  Two rules bound the
+other sums:
 
-  Stockham   the j-th stage after a reduction multiplies entries below
-             j*m by twiddles below m, so the loop reduces before every
-             H-th stage (reduction_stages) and once at the end;
-  direct     a Horner step adds B products to one more, so B + 1 <= H
-             (_direct_block);
-  radix      a stage's matmul adds r products of a balanced table entry
-             and a reduced residue, so r <= F (_radices, _radix_tables).
+  int64    a sum holds at most H = _headroom(m) products of two
+           residues, the largest H with H*m*(m-1) < 2**63.  A direct
+           Horner step adds B products to one more, so B + 1 <= H
+           (_direct_block).
+  float64  a sum holds at most F = _float_headroom(m) products of a
+           balanced residue (|d| <= (m-1)/2) and a residue in [0, m), the
+           largest F with F*((m-1)//2)*(m-1) < 2**53, so every partial
+           sum is an integer float64 holds exactly, in whatever order
+           BLAS adds them.  A stage's matmul adds r such products, so
+           r <= F (_radices, _radix_tables).
 
-A kernel, selected per plan, decides only the Stockham twiddle product
+A kernel, selected per plan, decides only the radix-2 twiddle product
 and the 1/N scaling:
 
   "mul"    int64 multiplication by w**j, and by n_inverse.  Only this
-           kernel takes the radix route, which multiplies matrices.
+           kernel takes stages of r > 2, which multiply matrices.
   "shift"  w**j = 2**(root_step*j), so the product is shift_mul, one
            left shift and one reduction on Python ints; j < N/2 keeps
            every shift below half the root-2 order, and build_plan
@@ -86,7 +83,7 @@ INT64_LIMIT = 2**63
 # Every integer below this in magnitude, and every sum of them that stays
 # below it, is exact in float64.
 FLOAT64_EXACT = 2**53
-# Largest radix of the radix route: a stage's matmul work grows with r,
+# Largest radix of a Stockham stage: a stage's matmul work grows with r,
 # and 128 or 256 gained nothing clear over 64 at N = 256..4096.
 MAX_RADIX = 64
 # Widest shift a "shift" plan may make, root_step*(N/2 - 1) bits: the
@@ -268,27 +265,20 @@ class TransformPlan:
     The working root is 2**root_step, where root_step * length is the
     root-2 order of modulus; twiddles[j] = 2**(root_step * j) mod
     modulus, as a read-only int64 array.  n_inverse undoes the length
-    factor in the inverse transform.  The fast transforms take one of
-    two routes, fixed per plan by _radices:
+    factor in the inverse transform.  At a power-of-two length N > 1
+    the fast transforms take the Stockham loop, in the stages _radices
+    sets: ``radix_tables`` holds one read-only float64 r x r table per
+    stage, D_r[q, s] = w**(N*q*s/r) as a balanced residue, and stages of
+    one radix share it.  A radix-2 stage applies its D_2, [[1, 1],
+    [1, -1]], as one add and one subtract.  Each stage gathers its
+    twiddles from ``twiddles`` per call.
 
-      radix     ``radix_tables`` holds one read-only float64 r x r table
-                per stage, D_r[q, s] = w**(N*q*s/r) as a balanced
-                residue; stages of one radix share it.  The "mul" kernel
-                at a power-of-two N > 1 on a prime whose float64 rule,
-                r*((m-1)//2)*(m-1) < 2**53, admits r >= 2.  Each stage
-                gathers its twiddle grid from ``twiddles`` per call.
-      Stockham  ``radix_tables`` is None; the radix-2 loop, which keeps
-                every int64 sum within H = _headroom(modulus) products
-                of two residues.  reduction_stages holds
-                range(H, log2 N, H): the stages (0 for the first, which
-                makes transforms of length 2) before which the lazy
-                butterflies reduce the array to [0, m).
-
-    Other lengths, and the direct functions, take the direct route,
-    which reads only the twiddles.  build_plan fills the tables once
-    and nothing is cached later, so plans are immutable and safe to
-    share across threads.  The tables follow from (length, modulus,
-    root_step, kernel) and take no part in equality or hashing.
+    At other lengths ``radix_tables`` is None, and the fast transforms,
+    like the direct ones, take the direct route, which reads only the
+    twiddles.  build_plan fills the tables once and nothing is cached
+    later, so plans are immutable and safe to share across threads.  The
+    tables follow from (length, modulus, root_step, kernel) and take no
+    part in equality or hashing.
     """
 
     length: int
@@ -296,7 +286,6 @@ class TransformPlan:
     root_step: int
     kernel: str
     n_inverse: int
-    reduction_stages: tuple[int, ...]
     twiddles: np.ndarray = field(repr=False, compare=False)
     radix_tables: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False, compare=False
@@ -342,23 +331,6 @@ def _float_headroom(m: int) -> int:
     return (FLOAT64_EXACT - 1) // ((m - 1) // 2 * (m - 1))
 
 
-def _reduction_schedule(length: int, m: int) -> tuple[int, ...]:
-    """Stockham stages that must start from residues reduced to [0, m).
-
-    The lazy butterflies add m to the entries' magnitude bound per
-    stage, so the j-th stage after a reduction multiplies entries below
-    j*m by twiddles below m: exact while j <= H = _headroom(m).  The
-    loop therefore reduces before every H-th stage.
-    """
-    h = _headroom(m)
-    stages = length.bit_length() - 1 if modular.is_power_of_two(length) else 0
-    schedule = tuple(range(h, stages, h))
-    assert all(
-        b - a <= h for a, b in zip((0, *schedule), (*schedule, stages))
-    ), f"Stockham loop overflows int64 mod {m}"
-    return schedule
-
-
 def _direct_block(length: int, m: int) -> int:
     """Inputs per Horner block of the direct path.
 
@@ -374,22 +346,21 @@ def _direct_block(length: int, m: int) -> int:
 
 
 def _radices(length: int, m: int, kernel: str) -> tuple[int, ...] | None:
-    """Stage radices of the radix route, or None for the radix-2 loop.
+    """Stage radices of the Stockham loop at a power-of-two length N > 1,
+    else None (the direct route).
 
-    The radix route serves the "mul" kernel (its matrix products
-    multiply) at power-of-two lengths N > 1 on primes that pass the
-    float rule with r >= 2.  r is the largest power of two up to
-    MAX_RADIX and _float_headroom(m); log2 N is split into as few stages
-    of at most log2 r as it takes, as evenly as possible.  Every registry
-    prime is below 2**24 and takes r = 64.  Primes above about 2**26.5,
-    such as 825753601, 1214251009 and 2013265921, admit no r >= 2 and
-    keep the radix-2 loop.
+    A "mul" plan takes r up to the largest power of two up to MAX_RADIX
+    and _float_headroom(m): log2 N is split into as few stages of at most
+    log2 r as it takes, as evenly as possible.  Every registry prime is
+    below 2**24 and takes r = 64.  A radix-2 stage multiplies no matrix,
+    so "shift" plans, and primes whose float rule admits no r >= 4, such
+    as 825753601, 1214251009 and 2013265921, take log2 N radix-2 stages.
     """
-    if kernel != "mul" or length < 2 or not modular.is_power_of_two(length):
+    if length < 2 or not modular.is_power_of_two(length):
         return None
-    top = min(MAX_RADIX, _float_headroom(m)).bit_length() - 1
-    if top < 1:
-        return None
+    top = 1
+    if kernel == "mul":
+        top = max(1, min(MAX_RADIX, _float_headroom(m)).bit_length() - 1)
     bits = length.bit_length() - 1
     stages = -(-bits // top)
     low, high = divmod(bits, stages)
@@ -399,14 +370,16 @@ def _radices(length: int, m: int, kernel: str) -> tuple[int, ...] | None:
 def _radix_tables(
     twiddles: np.ndarray, radices: tuple[int, ...], m: int
 ) -> tuple[np.ndarray, ...]:
-    """The radix route's read-only float64 tables, one per stage:
+    """The Stockham loop's read-only float64 tables, one per stage:
     D_r[q, s] = w**(N*q*s/r) mod m as a balanced residue in
     [-(m-1)/2, (m-1)/2].  Stages of one radix share one table.
 
-    Asserts the float rule _radices decides by, so radices that bypass
-    it cannot build tables whose matmuls would round.
+    Asserts the float rule _radices decides by on every table a matmul
+    reads (r > 2), so radices that bypass it cannot build tables whose
+    matmuls would round.
     """
-    assert max(radices) <= _float_headroom(m), f"radix route overflows float64 mod {m}"
+    f = _float_headroom(m)
+    assert all(r <= f for r in radices if r > 2), f"Stockham stage overflows float64 mod {m}"
     n, half = len(twiddles), (m - 1) // 2
     tables = {}
     for r in set(radices):
@@ -477,7 +450,6 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
         root_step=step,
         kernel=kernel,
         n_inverse=n_inverse,
-        reduction_stages=_reduction_schedule(length, m),
         twiddles=arr,
         radix_tables=None if radices is None else _radix_tables(arr, radices, m),
     )
@@ -499,15 +471,15 @@ def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
 
 
 def _twiddle_product(odd: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # row k of the (L, C) array odd times w**(k*C), reduced to [0, m): the
-    # Stockham stage's twiddle product.  Under "shift" w**j = 2**(root_step*j)
-    # with j < N/2, so every shift is below half the root-2 order.
+    # row k of the (L, C) array odd times w**(k*C): the radix-2 stage's
+    # twiddle product, below m**2 under "mul" and reduced to [0, m) under
+    # "shift", where w**j = 2**(root_step*j) with j < N/2, so every shift
+    # is below half the root-2 order
     rows, cols = odd.shape
-    m = plan.modulus
     if plan.kernel == "shift":
         exponents = plan.root_step * np.arange(0, rows * cols, cols, dtype=np.int64)
-        return _shift_mul_array(odd, exponents[:, None], m).astype(np.int64)
-    return _mod(odd * plan.twiddles[: rows * cols : cols, None], m)
+        return _shift_mul_array(odd, exponents[:, None], plan.modulus).astype(np.int64)
+    return odd * plan.twiddles[: rows * cols : cols, None]
 
 
 def _scale_inverse(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
@@ -529,7 +501,7 @@ def _scale_inverse(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
 def _direct(vec: np.ndarray, plan: TransformPlan) -> np.ndarray:
     # Horner's rule in w**(u*B), from the last block of B inputs to the
     # first, on the twiddles under either kernel: the reference shares no
-    # twiddle product with the fast routes it checks
+    # twiddle product with the fast route it checks
     n, m, w = plan.length, plan.modulus, plan.twiddles
     block = _direct_block(n, m)
     u = np.arange(n, dtype=np.int64)
@@ -556,58 +528,45 @@ def inverse_direct(X: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
 # -- fast path ---------------------------------------------------------
 
 
-def _radix(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # Stockham autosort as in _fast, r columns at a time: a stage views
-    # the (L, C) array as (L, r, C/r), multiplies column block s of row k
-    # by w**(C/r*s*k), and joins the r blocks with D_r in one float64
-    # matmul into the (r*L, C/r) view, whose row k + L*q is frequency
-    # k + L*q.  The twiddle grid is gathered per call, so the plan holds
-    # no N-entry stage table.
+def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
+    # Stockham autosort: entry (k, j) of the (L, C) view, L*C = N, holds
+    # the length-L transform at frequency k of every C-th input from j
+    # on.  A stage of radix r views it as (L, r, C/r), multiplies column
+    # block s of row k by w**(C/r*s*k), and joins the r blocks with D_r
+    # into the (r*L, C/r) view, whose row k + L*q is frequency k + L*q.
+    # Every stage writes a new array of residues in [0, m), so the input
+    # is only read and the output comes out in natural order.  The
+    # twiddles are gathered per call, so the plan holds no N-entry table.
     n, m, w = plan.length, plan.modulus, plan.twiddles
     a = a.reshape(1, n)
     for table in plan.radix_tables:
         r = table.shape[0]
         rows, cols = a.shape[0], a.shape[1] // r
-        if rows == 1:
-            x = a.astype(np.float64).reshape(r, cols)
+        if r == 2:
+            # D_2 joins even + hi and even - hi, hi = odd*w below m**2;
+            # the first stage's twiddles are all 1
+            even, hi = a[:, :cols], a[:, cols:]
+            if rows > 1:
+                hi = _twiddle_product(hi, plan)
+            y = np.empty((2, rows, cols), dtype=np.int64)
+            np.add(even, hi, out=y[0])
+            np.subtract(even, hi, out=y[1])
+        elif rows == 1:
+            y = table @ a.astype(np.float64).reshape(r, cols)
         else:
             grid = w[np.arange(0, rows * cols, cols)[:, None] * np.arange(r)]
             x = a.reshape(rows, r, cols) * grid[:, :, None]
             x = _mod(x, m, out=x).astype(np.float64)
             # the (r, L*C/r) operand: a transposed view BLAS reads as is
             # when C/r = 1, else a copy
-            x = x.transpose(1, 0, 2).reshape(r, rows * cols)
-        y = table @ x
-        a = _mod(y.astype(np.int64), m).reshape(r * rows, cols)
+            y = table @ x.transpose(1, 0, 2).reshape(r, rows * cols)
+        a = _mod(y.astype(np.int64, copy=False), m).reshape(r * rows, cols)
     return a.reshape(n)
 
 
-def _fast(a: np.ndarray, plan: TransformPlan) -> np.ndarray:
-    # Stockham autosort: entry (k, j) of the (L, C) view, L*C = N, holds
-    # the length-L transform at frequency k of every C-th input from j
-    # on.  A stage joins columns j and j + C/2 into the (2L, C/2) view,
-    # writing into the buffer the previous stage did not, so the input
-    # is only read and the output comes out in natural order.
-    n, m = plan.length, plan.modulus
-    buffers = np.empty((2, n), dtype=np.int64)
-    a = a.reshape(1, n)
-    for stage in range(n.bit_length() - 1):
-        if stage in plan.reduction_stages:
-            _mod(a, m, out=a)
-        rows, half = a.shape[0], a.shape[1] // 2
-        even, odd = a[:, :half], a[:, half:]
-        # lazy butterfly: even + hi and even - hi, hi = odd*w mod m
-        hi = _twiddle_product(odd, plan)
-        out = buffers[stage % 2].reshape(2, rows, half)
-        np.add(even, hi, out=out[0])
-        np.subtract(even, hi, out=out[1])
-        a = out.reshape(2 * rows, half)
-    return _mod(a.reshape(n), m)
-
-
 def forward_fast(x: ResidueSequence, plan: TransformPlan) -> ResidueSequence:
-    """Fast forward transform, radix or Stockham as the plan decides;
-    bit-exact equal to forward_direct.
+    """Fast forward transform through the Stockham loop; bit-exact equal
+    to forward_direct.
 
     Lengths that are not powers of two fall back to the direct path.
     """
@@ -627,12 +586,7 @@ def _transform(
     x(t) = (1/N) Y(-t mod N) with Y(t) = sum_u X(u) * root**(u*t)."""
     _check_input(x, plan)
     a = np.asarray(x)  # read-only; no core writes its input
-    if fast and plan.radix_tables is not None:
-        out = _radix(a, plan)
-    elif fast and modular.is_power_of_two(plan.length):
-        out = _fast(a, plan)
-    else:
-        out = _direct(a, plan)
+    out = _fast(a, plan) if fast and plan.radix_tables is not None else _direct(a, plan)
     if inverse:
         out[1:] = out[:0:-1]
         out = _scale_inverse(out, plan)

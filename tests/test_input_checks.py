@@ -19,6 +19,13 @@ from exactntt.convolution import (
     deconvolve,
     select_moduli,
 )
+from exactntt.dyadic import (
+    build_dyadic_plan,
+    dyadic_convolve,
+    dyadic_forward,
+    dyadic_inverse,
+    verify_carmichael_dyadic,
+)
 from exactntt.errors import BadInput, BoundExceeded
 from exactntt.transform import (
     ResidueSequence,
@@ -220,6 +227,42 @@ def test_fermat_number_takes_an_integer_index():
         with pytest.raises(BadInput, match="Fermat index must be an integer, got 2.0"):
             call(2.0)
     assert registry.fermat_number(np.int64(2)) == 17
+
+
+# the dyadic module's lengths, bit depths, roots and entries follow the same rule
+
+DYADIC = build_dyadic_plan(2, 8, 2, 255)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: build_dyadic_plan(4.0, 8, 2, 255), "length"),
+        (lambda: build_dyadic_plan(2, 8.0, 2, 255), "alpha"),
+        (lambda: build_dyadic_plan(2, 8, "2", 255), "data bit depth"),
+        (lambda: build_dyadic_plan(2, 8, 2, 255.0), "root"),
+        (lambda: verify_carmichael_dyadic(3.0, 8), "root"),
+        (lambda: verify_carmichael_dyadic(3, None), "alpha"),
+        (lambda: dyadic_forward([1.5, 0], DYADIC), "sequence entry"),
+        (lambda: dyadic_forward(["a", 0], DYADIC), "sequence entry"),
+        (lambda: dyadic_inverse([1.5, 0], DYADIC), "sequence entry"),
+        (lambda: dyadic_convolve([1, 0], [0.5, 0], DYADIC), "sequence entry"),
+    ],
+    ids=[
+        "plan-length", "plan-alpha", "plan-beta", "plan-root", "carmichael-a",
+        "carmichael-alpha", "forward-float", "forward-str", "inverse-float", "convolve-float",
+    ],
+)
+def test_dyadic_arguments_are_integers(call, name):
+    with pytest.raises(BadInput, match=f"{name} must be an integer"):
+        call()
+
+
+def test_dyadic_takes_numpy_integers_as_ints():
+    plan = build_dyadic_plan(np.int64(2), np.int64(8), np.int32(2), np.int64(255))
+    assert plan == DYADIC and all(type(v) is int for v in (plan.length, plan.alpha, plan.root))
+    assert dyadic_forward([np.int64(1), True], DYADIC) == dyadic_forward([1, 1], DYADIC)
+    assert verify_carmichael_dyadic(np.int64(3), np.int64(8))
 
 
 # registry fields, select_moduli's arguments and convolve_crt's moduli follow the same rule

@@ -1,11 +1,11 @@
-"""Lazy-reduction butterflies at the int64 edge, the per-plan reduction
-schedule, the array-backed ResidueSequence, the Garner CRT combine on
+"""Radix-2 Stockham stages at the int64 edge, residues in [0, m) between
+stages, the array-backed ResidueSequence, the Garner CRT combine on
 both sides of 2**63, vectorized spectral division and the byte
 conversions of BigDigits."""
 
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -43,10 +43,10 @@ def edge_inputs(n, m):
     }
 
 
-# -- lazy butterflies at the int64 edge ----------------------------------------
+# -- radix-2 stages at the int64 edge ------------------------------------------
 
 
-# 1214251009 reduces before stages 6 and 12 from N = 2**13 on
+# mod 1214251009 one int64 sum holds only six products of two residues
 @pytest.mark.parametrize(
     "n, m", [(n, m) for m in EDGE_PRIMES for n in EDGE_LENGTHS] + [(2**13, EDGE_PRIMES[0])]
 )
@@ -85,48 +85,27 @@ def test_edge_prime_shift_kernel_matches_mul(n, m):
             assert inverse_direct(x, shift) == inverse_direct(x, mul)
 
 
-# -- the per-plan reduction schedule ----------------------------------------------
+# -- residues in [0, m) between stages -------------------------------------------
 
 
-def check_schedule(plan):
-    """Walk the fast path's entry bound stage by stage, independently of
-    build_plan: entry magnitudes lie below bound; the twiddle product needs
-    bound*(m-1) < 2**63; a stage adds m to the bound; a scheduled stage
-    starts from [0, m).  Every scheduled reduction must be needed."""
-    m = plan.modulus
-    stages = plan.length.bit_length() - 1
-    assert all(0 <= s < stages for s in plan.reduction_stages)
-    bound = m
-    for stage in range(stages):
-        if stage in plan.reduction_stages:
-            assert bound * (m - 1) >= 2**63, f"needless reduction at stage {stage}"
-            bound = m
-        assert bound * (m - 1) < 2**63, f"stage {stage} overflows int64"
-        bound += m
-
-
-@pytest.mark.parametrize("entry", REG, ids=lambda e: str(e.prime))
-def test_registry_plans_obey_schedule(entry):
-    for k in range(entry.n_max.bit_length()):
-        check_schedule(build_plan(1 << k, entry))
-
-
-@pytest.mark.parametrize("m", EDGE_PRIMES)
-def test_edge_prime_plans_obey_schedule(m):
-    order = 1 << (16 if m == EDGE_PRIMES[0] else 17)
-    for k in range(order.bit_length()):
-        check_schedule(build_plan(1 << k, m))
-
-
-def test_schedule_examples():
-    # no registry prime, and not 825753601 (2**29.6), needs a mid-transform
-    # reduction at N = 1024; 1214251009 (2**30.2) needs one before stage 6
-    assert build_plan(1024, 13631489).reduction_stages == ()
-    assert build_plan(1 << 19, REG[3]).reduction_stages == ()
-    assert build_plan(1024, 825753601).reduction_stages == ()
-    assert build_plan(1024, 1214251009).reduction_stages == (6,)
-    assert build_plan(1 << 16, 1214251009).reduction_stages == (6, 12)
-    assert build_plan(3, 7).reduction_stages == ()
+@pytest.mark.parametrize("m", [e.prime for e in REG] + list(EDGE_PRIMES))
+def test_every_stockham_stage_starts_from_residues(m):
+    # the fast transform of a plan cut to its first j stage tables returns
+    # the state that stage j + 1 starts from, and every one lies in [0, m):
+    # so each twiddle product is below m**2 < 2**63 and no stage needs
+    # int64 headroom beyond that
+    order = modular.multiplicative_order(2, m)
+    for kernel, top in (("mul", 19), ("shift", 10)):
+        for k in range(1, top + 1):
+            n = 1 << k
+            if order % n:
+                continue
+            plan = build_plan(n, m, kernel)
+            for x in edge_inputs(n, m).values():
+                for j in range(1, len(plan.radix_tables) + 1):
+                    cut = replace(plan, radix_tables=plan.radix_tables[:j])
+                    state = np.asarray(forward_fast(x, cut))
+                    assert 0 <= state.min() and state.max() < m, (kernel, n, j)
 
 
 # -- Garner CRT combine on both sides of 2**63 ---------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import subprocess
 import sys
@@ -220,11 +221,16 @@ def test_forward_direct_matches_reference(n, m):
 # -- round trips and fast path -------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256])
-@pytest.mark.parametrize("m", [641, 2424833, 13631489])
-def test_round_trip_both_paths(n, m):
-    if not registry.find_modulus(m).admits_length(n):
-        pytest.skip("length not admitted")
+@pytest.mark.parametrize(
+    "m,n",
+    [
+        (m, n)
+        for m in (641, 2424833, 13631489)
+        for n in (2, 4, 8, 16, 64, 256)
+        if registry.find_modulus(m).admits_length(n)
+    ],
+)
+def test_round_trip_both_paths(m, n):
     plan = build_plan(n, m)
     for seed in range(5):
         x = random_sequence(n, m, seed)
@@ -493,26 +499,33 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
     assert grown_kib < 32 * 1024, f"max RSS grew by {grown_kib / 1024:.1f} MiB"
 
 
-# -- the radix route ----------------------------------------------------------
+# -- the Stockham loop ----------------------------------------------------------
 
 # the registry primes, and the two primes near 2**30 whose (m-1)**2 is too
-# wide for the float rule, so they keep the radix-2 loop
+# wide for the float rule, so they take only radix-2 stages
 RADIX_PRIMES = [e.prime for e in registry.builtin_rader_primes()] + [1214251009, 825753601]
+
+
+def radix2(plan):
+    """The same plan split into log2 N radix-2 stages.  Their add and
+    subtract joins share no matmul with the float64 joins of r > 2."""
+    k = plan.length.bit_length() - 1
+    return replace(plan, radix_tables=transform._radix_tables(plan.twiddles, (2,) * k, plan.modulus))
 
 
 @pytest.mark.parametrize("m", RADIX_PRIMES)
 def test_radix_equals_stockham_and_direct(m):
     order = modular.multiplicative_order(2, m)
-    for n in (1 << k for k in range(13)):
+    for n in (1 << k for k in range(1, 13)):
         if order % n:
             continue
         plan = build_plan(n, m)
-        assert (plan.radix_tables is None) == (transform._radices(n, m, "mul") is None)
-        stockham = replace(plan, radix_tables=None)
+        assert [t.shape[0] for t in plan.radix_tables] == list(transform._radices(n, m, "mul"))
+        split = radix2(plan)
         # all m-1 is the largest sum each matrix product can meet
         for x in (random_sequence(n, m, n), ResidueSequence([m - 1] * n, m)):
-            assert forward_fast(x, plan) == forward_fast(x, stockham) == forward_direct(x, plan)
-            assert inverse_fast(x, plan) == inverse_fast(x, stockham) == inverse_direct(x, plan)
+            assert forward_fast(x, plan) == forward_fast(x, split) == forward_direct(x, plan)
+            assert inverse_fast(x, plan) == inverse_fast(x, split) == inverse_direct(x, plan)
 
 
 @pytest.mark.long
@@ -521,11 +534,47 @@ def test_radix_equals_stockham_at_2_19():
     n, m = 1 << 19, 13631489
     plan = build_plan(n, m)
     assert [table.shape[0] for table in plan.radix_tables] == [32, 32, 32, 16]
-    stockham = replace(plan, radix_tables=None)
+    split = radix2(plan)
     for x in (random_sequence(n, m, 19), ResidueSequence([m - 1] * n, m)):
         spectrum = forward_fast(x, plan)
-        assert spectrum == forward_fast(x, stockham)
-        assert inverse_fast(spectrum, plan) == inverse_fast(spectrum, stockham) == x
+        assert spectrum == forward_fast(x, split)
+        assert inverse_fast(spectrum, plan) == inverse_fast(spectrum, split) == x
+
+
+# SHA-256 of the little-endian int64 outputs of forward_fast and
+# inverse_fast mod 13631489 on random_sequence(N, m, log2 N) and on all
+# m - 1, computed before the radix-2 and mixed-radix loops became one:
+# they pin the outputs at lengths where the direct route cannot check them
+PINNED = {
+    (16, "random", "forward_fast"): "9dba546c49842eb603557490a33a5491fcc1a516a57cff29f8e47b6ae55eea50",
+    (16, "random", "inverse_fast"): "a1a149c3b85f53299561b684eb924e0085c259fc4652c7799a7c6865edcfdcfb",
+    (16, "top", "forward_fast"): "9da6307e2e53ef205ff79675da8b76666143113b845163fe2cf1e05036788973",
+    (16, "top", "inverse_fast"): "61034fabb13335c3bed63df309cd852778b02b40a173c9b5b5ca0ef68d55b617",
+    (19, "random", "forward_fast"): "0a67931ead3dbb74f2231bbe6d46c9cc472ff9b6f3c208c829fee7c1fc4e3f2d",
+    (19, "random", "inverse_fast"): "e4fba6f00da84f2dba563ecf824be8c30c643f76d728e021675a308a2e69dfe2",
+    (19, "top", "forward_fast"): "2041d3ff1ef202cd8281b228991b8b335aee4df5e1fd60e29cb60d0f91e92e3d",
+    (19, "top", "inverse_fast"): "1d83fd1f1e3a2845cc52ddbbda113d7549f750b7cbfe264d0716694ef82fe7d4",
+}
+
+
+def fast_digests(k):
+    n, m = 1 << k, 13631489
+    plan = build_plan(n, m)
+    inputs = {"random": random_sequence(n, m, k), "top": ResidueSequence([m - 1] * n, m)}
+    return {
+        (k, name, fn.__name__): hashlib.sha256(np.asarray(fn(x, plan)).astype("<i8").tobytes()).hexdigest()
+        for name, x in inputs.items()
+        for fn in (forward_fast, inverse_fast)
+    }
+
+
+def test_fast_outputs_are_pinned_at_2_16():
+    assert fast_digests(16) == {key: d for key, d in PINNED.items() if key[0] == 16}
+
+
+@pytest.mark.long
+def test_fast_outputs_are_pinned_at_2_19():
+    assert fast_digests(19) == {key: d for key, d in PINNED.items() if key[0] == 19}
 
 
 @pytest.mark.parametrize(
@@ -543,21 +592,28 @@ def test_radix_equals_stockham_at_2_19():
     ],
 )
 def test_radices(n, m, kernel, radices):
-    # "mul" at a power of two N > 1 on a prime whose float64 rule admits
-    # r >= 2: as few stages of at most min(64, _float_headroom(m)) as it
-    # takes, as even as they can be
+    # a power of two N > 1: "mul" on a prime whose float64 rule admits
+    # r >= 4 takes as few stages of at most min(64, _float_headroom(m)) as
+    # it takes, as even as they can be.  None marks a plan with no matmul
+    # stage: log2 N radix-2 stages at a power of two N > 1 ("shift", and
+    # the primes the float rule refuses), else the direct route
+    if radices is None and n > 1 and modular.is_power_of_two(n):
+        radices = (2,) * (n.bit_length() - 1)
     assert transform._radices(n, m, kernel) == radices
     plan = build_plan(n, m, kernel)
     if radices is None:
         assert plan.radix_tables is None
         return
     assert np.prod(radices) == n and max(radices) <= 2 * min(radices)
-    assert all(r <= transform.MAX_RADIX and r * ((m - 1) // 2) * (m - 1) < 2**53 for r in radices)
+    assert all(
+        r <= transform.MAX_RADIX and (r == 2 or r * ((m - 1) // 2) * (m - 1) < 2**53)
+        for r in radices
+    )
     assert [table.shape for table in plan.radix_tables] == [(r, r) for r in radices]
 
 
 def test_dense_tables_are_read_only_and_outside_equality():
-    # the radix route's dense r x r DFT tables, one per stage
+    # the Stockham loop's dense r x r DFT tables, one per stage
     n, m = 1 << 16, 13631489
     plan = build_plan(n, m)
     tables = plan.radix_tables
@@ -573,14 +629,15 @@ def test_dense_tables_are_read_only_and_outside_equality():
     assert plan == replace(plan, radix_tables=None) and "radix_tables" not in repr(plan)
 
 
-@pytest.mark.parametrize("split", [(128, 2), (2, 128), (2,) * 8])
+@pytest.mark.parametrize("split", [(128, 2), (2, 128), (4, 2, 2, 16)])
 def test_dense_bound_is_asserted_when_the_rule_is_bypassed(monkeypatch, split):
     # a split of log2 N into stage radices that bypasses _radices: the float
-    # rule on each dense r x r table product is asserted in _radix_tables
+    # rule on each dense r x r table product is asserted in _radix_tables;
+    # the last split puts radix-2 joins between matmul stages
     monkeypatch.setattr(transform, "_radices", lambda n, m, kernel: split)
     # 13631489 admits r <= 96: _float_headroom(13631489) == 96
     if max(split) > 96:
-        with pytest.raises(AssertionError, match="radix route overflows float64 mod 13631489"):
+        with pytest.raises(AssertionError, match="Stockham stage overflows float64 mod 13631489"):
             build_plan(256, 13631489)
     # radices the rule would not pick are still exact where the bound holds
     plan = build_plan(256, 319489)
@@ -621,11 +678,10 @@ def test_every_admitted_plan_follows_the_headroom_rule(m):
     for k in range(order.bit_length()):
         n = 1 << k
         plan = build_plan(n, m)
-        assert plan.reduction_stages == tuple(range(h, k, h))
         assert transform._direct_block(n, m) + 1 <= h
         for kernel in transform.KERNELS:
-            radices = transform._radices(n, m, kernel)
-            assert radices is None or max(radices) <= f
-        assert (plan.radix_tables is None) == (transform._radices(n, m, "mul") is None)
+            radices = transform._radices(n, m, kernel) or ()
+            assert all(r == 2 or r <= f for r in radices)
+        assert (plan.radix_tables is None) == (k == 0)
         if plan.radix_tables is not None:
-            assert max(table.shape[0] for table in plan.radix_tables) <= f
+            assert all(r == 2 or r <= f for r in (t.shape[0] for t in plan.radix_tables))
