@@ -18,6 +18,7 @@ from .errors import (
     InvalidLength,
     NttError,
     VerificationFailed,
+    number_text,
 )
 
 EXIT_OK = 0
@@ -149,8 +150,8 @@ def cmd_convolve(args) -> int:
     result = convolution.convolve_crt(f, g, moduli)
     primes = [getattr(m, "prime", m) for m in moduli]
     _diag(
-        f"{source} {primes}; bound audit: {'2*' if signed else ''}N*Bf*Bg = {need} "
-        f"< capacity {prod(primes)}"
+        f"{source} {primes}; bound audit: {'2*' if signed else ''}N*Bf*Bg = {number_text(need)} "
+        f"< capacity {number_text(prod(primes))}"
     )
     _write_result(args.out, result, args.json)
     return EXIT_OK
@@ -386,7 +387,7 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         _diag(f"error: {exc}")
         if exc.need is not None:
-            _diag(f"bound: need {exc.need}, capacity {exc.capacity}")
+            _diag(f"bound: need {number_text(exc.need)}, capacity {number_text(exc.capacity)}")
         return EXIT_BOUND
     except InvalidLength as exc:
         _diag(f"error: {exc}")

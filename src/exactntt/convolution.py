@@ -7,7 +7,6 @@ prime is too small, work is spread over several and recombined by the
 Chinese Remainder Theorem.
 """
 
-import operator
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,6 +21,7 @@ from .errors import (
     LengthMismatch,
     ModuliNotCoprime,
     NotInvertible,
+    number_text,
 )
 from .registry import RaderModulus, builtin_rader_primes
 from .transform import (
@@ -64,6 +64,12 @@ def _plan(length: int, key: _PlanKey) -> TransformPlan:
     return build_plan(length, key.modulus)
 
 
+def _plan_for(length: int, modulus) -> TransformPlan:
+    if not isinstance(modulus, RaderModulus):  # the caches cannot hash a list
+        modulus = modular._integer(modulus, "modulus")
+    return _plan(length, _plan_key(modulus))
+
+
 def _equal_length(f, g) -> tuple[np.ndarray, np.ndarray]:
     f, g = int_array(f), int_array(g)
     if len(f) != len(g):
@@ -85,6 +91,8 @@ def recovery_bound(n: int, bf: int, bg: int, signed: bool) -> int:
     recovered exactly from residues when N*Bf*Bg < m for nonnegative
     data, or 2*N*Bf*Bg < m for signed data lifted to (-m/2, m/2].
     """
+    n = modular._integer(n, "length")
+    bf, bg = modular._integer(bf, "bound"), modular._integer(bg, "bound")
     return (2 if signed else 1) * n * bf * bg
 
 
@@ -169,13 +177,13 @@ def _convolve(f, g, moduli) -> list[int]:
         raise BadInput("convolve_crt needs at least one modulus")
     f, g = _equal_length(f, g)
     n = len(f)
-    plans = [_plan(n, _plan_key(mod)) for mod in moduli]
+    plans = [_plan_for(n, mod) for mod in moduli]
     primes = [plan.modulus for plan in plans]
     product = _crt_product(primes)
     need, signed = _requirement(f, g)
     if need >= product:
         raise BoundExceeded(
-            f"recovery bound {need} >= capacity {product} of moduli "
+            f"recovery bound {number_text(need)} >= capacity {number_text(product)} of moduli "
             f"{primes}; add moduli or lower the data bound",
             need=need,
             capacity=product,
@@ -228,7 +236,7 @@ def deconvolve(h, g, modulus) -> list[int]:
     Output is the canonical residue sequence of f.
     """
     h, g = _equal_length(h, g)
-    plan = _plan(len(h), _plan_key(modulus))
+    plan = _plan_for(len(h), modulus)
     m = plan.modulus
     H, G = _forward(h, plan), _forward(g, plan)
     zeros = np.flatnonzero(G == 0)
@@ -295,59 +303,38 @@ def _format_digits(value: int, limit: int) -> str:
     return _format_digits(high, limit) + _format_digits(low, limit).zfill(k)
 
 
-@dataclass(frozen=True)
-class BigDigits:
-    """Arbitrary-precision integer, held as its Python int.
+class BigDigits(int):
+    """An int that reads and writes decimal text past the str() digit cap.
 
-    Every int is canonical, so the one check is that ``value`` is an
-    integer.  ``digits`` are the magnitude's little-endian bytes, lowest
-    first: the digit vector bigint_multiply convolves.
+    Its repr, which str() also uses, is hex, so it evals back at any size.
     """
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        try:
-            object.__setattr__(self, "value", operator.index(self.value))
-        except TypeError:
-            raise BadInput(f"not an integer: {self.value!r}") from None
+    def __new__(cls, value):
+        return super().__new__(cls, modular._integer(value, "big integer"))
 
     def __repr__(self) -> str:
         # hex, because repr(int) raises above sys.get_int_max_str_digits()
-        return f"BigDigits({self.value:#x})"
-
-    @property
-    def digits(self) -> bytes:
-        magnitude = abs(self.value)
-        return magnitude.to_bytes(max(1, (magnitude.bit_length() + 7) // 8), "little")
-
-    @property
-    def negative(self) -> bool:
-        return self.value < 0
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    @classmethod
-    def from_int(cls, value: int) -> "BigDigits":
-        return cls(value)
-
-    def to_int(self) -> int:
-        return self.value
+        return f"BigDigits({int(self):#x})"
 
     @classmethod
     def from_decimal(cls, text: str) -> "BigDigits":
         text = text.strip()
-        sign = -1 if text.startswith("-") else 1
-        if text.startswith(("+", "-")):
-            text = text[1:]
-        if not (text.isascii() and text.isdigit()):
-            raise BadInput(f"not a decimal integer: {text!r}")
-        return cls.from_int(sign * _parse_digits(text, _str_digit_limit()))
+        body = text[1:] if text.startswith(("+", "-")) else text
+        if not (body.isascii() and body.isdigit()):
+            raise BadInput(f"not a decimal integer: {body!r}")
+        value = _parse_digits(body, _str_digit_limit())
+        return cls(-value if text.startswith("-") else value)
 
     def to_decimal(self) -> str:
-        text = _format_digits(abs(self.value), _str_digit_limit())
-        return "-" + text if self.negative else text
+        return "-" * (self < 0) + _format_digits(abs(self), _str_digit_limit())
+
+
+def _magnitude_bytes(value: int) -> bytes:
+    """Little-endian bytes of |value|, lowest first; 0 is one zero byte."""
+    magnitude = abs(value)
+    return magnitude.to_bytes(max(1, (magnitude.bit_length() + 7) // 8), "little")
 
 
 def _carry_bytes(raw: np.ndarray) -> int:
@@ -382,16 +369,17 @@ def _carry_propagate(raw) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def schoolbook_multiply(a: BigDigits, b: BigDigits) -> BigDigits:
+def schoolbook_multiply(a: int, b: int) -> BigDigits:
     """Positional digit-product multiplication: the independent oracle.
 
     Every byte pair is multiplied and accumulated at its position
     (O(n^2) work, sums below len * 255**2), then carries are resolved
     one coefficient at a time; no transform is involved.
     """
-    da, db = (np.frombuffer(x.digits, dtype=np.uint8).astype(np.int64) for x in (a, b))
+    a, b = modular._integer(a, "factor"), modular._integer(b, "factor")
+    da, db = (np.frombuffer(_magnitude_bytes(x), dtype=np.uint8).astype(np.int64) for x in (a, b))
     value = int.from_bytes(bytes(_carry_propagate(np.convolve(da, db).tolist())), "little")
-    return BigDigits(-value if a.negative != b.negative else value)
+    return BigDigits(-value if (a < 0) != (b < 0) else value)
 
 
 def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
@@ -421,11 +409,11 @@ def select_moduli(length: int, bound: int, registry=None) -> list[RaderModulus]:
         if product > bound:
             return chosen
     if not candidates:
-        message = f"no registry prime admits length {length} (required bound {bound})"
+        message = f"no registry prime admits length {length} (required bound {number_text(bound)})"
     else:
         message = (
-            f"registry primes admitting length {length} reach only {product} "
-            f"<= required {bound}; supply more moduli"
+            f"registry primes admitting length {length} reach only {number_text(product)} "
+            f"<= required {number_text(bound)}; supply more moduli"
         )
     raise BoundExceeded(message, need=bound, capacity=product)
 
@@ -442,19 +430,22 @@ def _fields(digits: bytes, bits: int, n: int) -> np.ndarray:
     return out
 
 
-def bigint_multiply(a: BigDigits, b: BigDigits, registry=None) -> BigDigits:
-    """Exact product via transform convolution of the operands' bit fields.
+def bigint_multiply(a: int, b: int, registry=None) -> BigDigits:
+    """Exact product of two integers via convolution of their bit fields.
 
-    The bytes are cut into fields of 8, 4 or 2 bits, the widest for
-    which select_moduli finds moduli; narrower fields double the length
-    but shrink the coefficient bound about fourfold.  The fields are
-    zero-padded to a power of two at least the sum of both field counts,
-    so the cyclic convolution equals the linear one.  Its coefficients
-    are regrouped per byte and carried into the product.
+    ``a`` and ``b`` may be any integers (int, BigDigits, numpy integer,
+    bool); anything else raises BadInput.  The magnitudes' bytes are cut
+    into fields of 8, 4 or 2 bits, the widest for which select_moduli
+    finds moduli; narrower fields double the length but shrink the
+    coefficient bound about fourfold.  The fields are zero-padded to a
+    power of two at least the sum of both field counts, so the cyclic
+    convolution equals the linear one.  Its coefficients are regrouped
+    per byte and carried into the product.
     """
-    if a.is_zero() or b.is_zero():
+    a, b = modular._integer(a, "factor"), modular._integer(b, "factor")
+    if not (a and b):
         return BigDigits(0)
-    da, db = a.digits, b.digits
+    da, db = _magnitude_bytes(a), _magnitude_bytes(b)
     for bits in (8, 4, 2):
         per_byte = 8 // bits
         n = modular.next_power_of_two(per_byte * (len(da) + len(db)))
@@ -469,4 +460,4 @@ def bigint_multiply(a: BigDigits, b: BigDigits, registry=None) -> BigDigits:
     # per-byte coefficients: each below 2**8 * n * (2**bits - 1)**2 < 2**63
     raw = raw.reshape(-1, per_byte) @ (1 << bits * np.arange(per_byte, dtype=np.int64))
     value = _carry_bytes(raw)
-    return BigDigits(-value if a.negative != b.negative else value)
+    return BigDigits(-value if (a < 0) != (b < 0) else value)

@@ -57,11 +57,20 @@ class ModulusMismatch(NttError):
     """Sequence modulus disagrees with the plan modulus."""
 
 
+def number_text(n: int) -> str:
+    """str(n), or n's bit length where str() would pass the digit cap."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{n.bit_length()}-bit integer>"
+
+
 class BoundExceeded(NttError):
     """Exact-recovery bound violated; result would only be correct mod m.
 
     ``need`` is the recovery bound the data requires and ``capacity`` the
-    modulus, or product of moduli, that fell short (None when unknown).
+    modulus, or product of moduli, that fell short (None when unknown),
+    both exact; messages write them through number_text.
     """
 
     def __init__(self, message: str, need: int | None = None, capacity: int | None = None):

@@ -8,7 +8,6 @@ residues in [0, m).
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd, lcm
 
 from .errors import BadInput, ModuliNotCoprime, ModulusTooSmall, NotInvertible
@@ -53,6 +52,7 @@ def ext_gcd(a: int, b: int) -> ExtGcdResult:
     Returns (g, x, y) with a*x + b*y == g == gcd(a, b). Inputs must not
     both be zero.
     """
+    a, b = _integer(a, "a"), _integer(b, "b")
     if a == 0 and b == 0:
         raise BadInput("ext_gcd(0, 0) is undefined")
     old_r, r = a, b
@@ -89,6 +89,7 @@ def mod_pow(base: int, exp: int, m: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division up to sqrt(n)."""
+    n = _integer(n, "n")
     if n < 1:
         raise BadInput(f"cannot factorize {n}")
     factors: dict[int, int] = {}
@@ -110,11 +111,13 @@ def factorize(n: int) -> dict[int, int]:
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (intended for n < 2**31)."""
+    n = _integer(n, "n")
     return n >= 2 and factorize(n) == {n: 1}
 
 
 def totient(m: int) -> int:
     """Euler's totient: count of integers in [1, m] coprime to m."""
+    m = _integer(m, "m")
     if m < 1:
         raise BadInput(f"totient undefined for {m}")
     result = m
@@ -129,18 +132,11 @@ def carmichael_lambda(m: int) -> int:
     Prime-power rule: odd p**k -> totient(p**k); 2 and 4 -> totient;
     2**k for k >= 3 -> totient(2**k) // 2.  Combined by lcm.
     """
+    m = _integer(m, "m")
     if m < 1:
         raise BadInput(f"carmichael_lambda undefined for {m}")
-    if m == 1:
-        return 1
-    parts = []
-    for p, k in factorize(m).items():
-        pk = p**k
-        if p == 2 and k >= 3:
-            parts.append(totient(pk) // 2)
-        else:
-            parts.append(totient(pk))
-    return reduce(lcm, parts)
+    parts = (totient(p**k) // (2 if p == 2 and k >= 3 else 1) for p, k in factorize(m).items())
+    return lcm(*parts)  # lcm() of nothing, for m = 1, is 1
 
 
 def multiplicative_order(a: int, m: int) -> int:

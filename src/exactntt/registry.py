@@ -211,6 +211,7 @@ def find_modulus(value: int, registry: tuple[RaderModulus, ...] | None = None) -
 
 def mersenne_factor_table(limit: int) -> list[tuple[int, dict[int, int]]]:
     """Exact factorizations of 2^n - 1 for 2 <= n <= limit (limit <= 32)."""
+    limit = modular._integer(limit, "limit")
     if limit > 32:
         raise IndexTooLarge("factor table supported up to n = 32")
     return [(n, modular.factorize((1 << n) - 1)) for n in range(2, limit + 1)]

@@ -100,6 +100,7 @@ def shift_mul(x: int, alpha: int, m: int) -> int:
     calling in bulk.
     """
     m = modular._modulus(m)
+    x, alpha = modular._integer(x, "residue"), modular._integer(alpha, "shift")
     if alpha < 0:
         raise BadInput("negative shift")
     return (x << alpha) % m

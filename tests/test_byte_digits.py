@@ -1,4 +1,4 @@
-"""The bytes of a BigDigits: its digits through int.to_bytes, checked
+"""The bytes of a big integer's magnitude through int.to_bytes, checked
 against a divmod loop; the byte-lane carry, checked against the
 schoolbook oracle's carry loop; big-integer products at every field
 width, checked against int.__mul__."""
@@ -16,6 +16,7 @@ from exactntt.convolution import (
     BigDigits,
     _carry_bytes,
     _carry_propagate,
+    _magnitude_bytes,
     bigint_multiply,
     schoolbook_multiply,
 )
@@ -53,21 +54,22 @@ def random_values(count, max_bytes, seed):
 )
 @pytest.mark.parametrize("sign", [1, -1])
 def test_byte_split_and_join_match_reference(value, sign):
-    digits = BigDigits.from_int(sign * value)
-    assert list(digits.digits) == divmod_bytes(value)
-    assert digits.negative == (sign < 0 and value != 0)
-    assert digits.to_int() == sign * value
+    digits = _magnitude_bytes(sign * value)
+    assert list(digits) == divmod_bytes(value)
+    assert int.from_bytes(digits, "little") == value
 
 
 @given(st.integers(-(2**4000), 2**4000))
 def test_byte_round_trip(value):
-    assert BigDigits.from_int(value).to_int() == value
+    assert int.from_bytes(_magnitude_bytes(value), "little") == abs(value)
+    assert BigDigits(value) == value
 
 
 def test_byte_digits_are_ints_and_validated():
-    value = BigDigits.from_int(np.int64(-300)).value
-    assert type(value) is int and value == -300
-    assert BigDigits.from_int(2**70 + 5).digits == (2**70 + 5).to_bytes(9, "little")
+    value = BigDigits(np.int64(-300))
+    assert isinstance(value, int) and value == -300
+    assert _magnitude_bytes(value) == b"\x2c\x01"
+    assert _magnitude_bytes(2**70 + 5) == (2**70 + 5).to_bytes(9, "little")
     for bad in [2.5, "5", (256,), None]:
         with pytest.raises(BadInput):
             BigDigits(bad)
@@ -132,17 +134,17 @@ def test_bigint_multiply_base_256_matches_int_mul(da, db):
     rnd = random.Random(da * 10007 + db)
     for sa, sb in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
         a, b = sa * decimal_operand(rnd, da), sb * decimal_operand(rnd, db)
-        product = bigint_multiply(BigDigits.from_int(a), BigDigits.from_int(b))
-        assert product.to_int() == a * b
-        assert product == BigDigits.from_int(a * b)
+        product = bigint_multiply(a, b)
+        assert product == a * b
+        assert type(product) is BigDigits
 
 
 def test_bigint_multiply_base_256_zero_and_all_ones():
     x = 256**2000 - 1
-    assert bigint_multiply(BigDigits.from_int(x), BigDigits.from_int(x)).to_int() == x * x
+    assert bigint_multiply(x, x) == x * x
     for a, b in [(0, x), (-x, 0), (0, 0)]:
-        product = bigint_multiply(BigDigits.from_int(a), BigDigits.from_int(b))
-        assert product == BigDigits.from_int(0)
+        product = bigint_multiply(a, b)
+        assert product == 0 and type(product) is BigDigits
 
 
 @pytest.fixture
@@ -172,16 +174,14 @@ def test_products_on_both_sides_of_each_width_change(widths_tried, digits, width
     for sa, sb in signs:
         a, b = sa * decimal_operand(rnd, digits), sb * decimal_operand(rnd, digits)
         widths_tried.clear()
-        product = bigint_multiply(BigDigits.from_int(a), BigDigits.from_int(b))
-        assert product.to_int() == a * b
+        assert bigint_multiply(a, b) == a * b
         assert len(widths_tried) == widths
     if digits <= 5000:
-        pa, pb = BigDigits.from_int(a), BigDigits.from_int(b)
-        assert bigint_multiply(pa, pb) == schoolbook_multiply(pa, pb)
+        assert bigint_multiply(a, b) == schoolbook_multiply(a, b)
 
 
 def test_products_beyond_every_width_raise_bound_exceeded(widths_tried):
-    a = BigDigits.from_int(10**200000 - 1)
+    a = 10**200000 - 1
     with pytest.raises(BoundExceeded) as info:
         bigint_multiply(a, a)
     assert widths_tried == [2**18, 2**19, 2**20]

@@ -4,12 +4,13 @@ one-dimensional, transforms take a ResidueSequence, a big integer is an
 int, and an empty registry holds no modulus (no fallback to the built-in
 table)."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from exactntt import modular, registry
+from exactntt import cli, modular, registry
 from exactntt.convolution import (
     BigDigits,
     bigint_multiply,
@@ -17,6 +18,7 @@ from exactntt.convolution import (
     convolve_direct,
     convolve_ntt,
     deconvolve,
+    recovery_bound,
     select_moduli,
 )
 from exactntt.dyadic import (
@@ -90,11 +92,11 @@ def test_integer_arrays_of_other_rank_raise_bad_input(call, rank):
 
 
 def test_big_digits_hold_an_int():
-    assert type(BigDigits(np.int64(5)).value) is int
-    assert BigDigits(np.int64(5)) == BigDigits(5)
-    assert hash(BigDigits(np.int64(5))) == hash(BigDigits(5))
-    for bad in [2.5, Fraction(5), "5", [5]]:
-        with pytest.raises(BadInput, match="not an integer"):
+    assert isinstance(BigDigits(np.int64(5)), int)
+    assert BigDigits(np.int64(5)) == BigDigits(5) == 5
+    assert hash(BigDigits(np.int64(5))) == hash(BigDigits(5)) == hash(5)
+    for bad in [2.5, Fraction(5), "5", "12", [5]]:
+        with pytest.raises(BadInput, match="must be an integer"):
             BigDigits(bad)
 
 
@@ -140,7 +142,7 @@ def test_empty_registry_selects_nothing():
         select_moduli(64, 10, registry=())
     assert (info.value.need, info.value.capacity) == (10, 1)
     with pytest.raises(BoundExceeded):
-        bigint_multiply(BigDigits.from_int(5), BigDigits.from_int(7), registry=())
+        bigint_multiply(5, 7, registry=())
     assert select_moduli(64, 10) == select_moduli(64, 10, registry=REG) == [REG[0]]
 
 
@@ -318,3 +320,95 @@ def test_transforms_of_a_non_residue_sequence_raise_bad_input(transform_fn, valu
         transform_fn(values, plan)
     seq = ResidueSequence.reduce(values, 641)
     assert transform_fn(seq, plan) == transform_fn(ResidueSequence([1, 2, 3, 4], 641), plan)
+
+
+@pytest.mark.parametrize("modulus", [[641], np.array([641]), {641: 1}])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: convolve_ntt([1, 0], [1, 0], m),
+        lambda m: deconvolve([1, 0], [1, 0], m),
+        lambda m: convolve_crt([1, 0], [1, 0], [m]),
+    ],
+    ids=["ntt", "deconvolve", "crt"],
+)
+def test_unhashable_moduli_raise_bad_input_before_the_plan_cache(call, modulus):
+    with pytest.raises(BadInput, match="modulus must be an integer"):
+        call(modulus)
+    assert call(np.array(641)) == call(641) == [1, 0]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: recovery_bound(2, "ab", 2, False),
+        lambda: recovery_bound(4, 1.5, 2, False),
+        lambda: recovery_bound(4.0, 1, 2, True),
+        lambda: modular.factorize(12.5),
+        lambda: modular.is_prime(7.0),
+        lambda: modular.is_prime(1.5),
+        lambda: modular.totient(10.0),
+        lambda: modular.ext_gcd(2.5, 4),
+        lambda: modular.ext_gcd(4, "2"),
+        lambda: modular.carmichael_lambda(10.0),
+        lambda: registry.mersenne_factor_table(5.0),
+        lambda: shift_mul(3, 1.5, 7),
+        lambda: shift_mul(3.0, 1, 7),
+    ],
+    ids=[
+        "bound-str", "bound-float", "bound-length", "factorize", "is-prime", "is-prime-below-2",
+        "totient", "ext-gcd", "ext-gcd-str", "lambda", "mersenne-table", "shift", "shift-residue",
+    ],
+)
+def test_number_theory_arguments_are_integers(call):
+    with pytest.raises(BadInput, match="must be an integer"):
+        call()
+
+
+def test_number_theory_takes_numpy_integers():
+    assert recovery_bound(np.int64(4), np.int32(3), True, False) == 12
+    assert modular.factorize(np.int64(12)) == {2: 2, 3: 1}
+    assert modular.is_prime(np.int64(7)) and modular.totient(np.int64(10)) == 4
+    assert modular.carmichael_lambda(np.int16(10)) == 4
+    assert modular.ext_gcd(np.int64(4), 6).g == 2
+    assert registry.mersenne_factor_table(np.int64(3)) == [(2, {3: 1}), (3, {7: 1})]
+    assert shift_mul(np.int64(3), np.int64(2), 7) == 5
+
+
+# a BoundExceeded whose numbers str() may not write still formats
+
+
+@pytest.fixture
+def digit_cap():
+    """sys.get_int_max_str_digits(), lowered to CPython's default 4300 if above it or off."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int<->str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(min(old or 4300, 4300))
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(old)
+
+
+def test_bound_exceeded_past_the_digit_cap_writes_bit_lengths(digit_cap):
+    big = 10 ** (digit_cap + 1)
+    bits = (2 * big).bit_length()
+    with pytest.raises(BoundExceeded, match=rf"bound <{bits}-bit integer> >= capacity 641") as info:
+        convolve_ntt([big, 0], [1, 0], 641)
+    assert (info.value.need, info.value.capacity) == (2 * big, 641)
+    with pytest.raises(BoundExceeded, match=rf"<= required <{big.bit_length()}-bit integer>") as info:
+        select_moduli(2, big)
+    assert info.value.need == big
+    with pytest.raises(BoundExceeded, match=rf"required bound <{big.bit_length()}-bit integer>"):
+        select_moduli(2, big, registry=())
+
+
+@pytest.mark.parametrize("moduli", [[], ["--modulus", "641"]], ids=["auto", "explicit"])
+def test_cli_bound_past_the_digit_cap_exits_3(digit_cap, moduli, tmp_path, capsys):
+    # entries str() can write, whose recovery bound it cannot
+    entry = 10 ** (digit_cap * 2 // 3)
+    path = tmp_path / "f.txt"
+    with path.open("w") as fh:
+        cli.write_sequence(fh, [entry, 1])
+    assert cli.main(["convolve", str(path), str(path), *moduli]) == cli.EXIT_BOUND
+    need = 2 * entry * entry
+    assert f"bound: need <{need.bit_length()}-bit integer>, capacity " in capsys.readouterr().err
