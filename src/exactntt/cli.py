@@ -42,6 +42,17 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _parse_int(text: str) -> int:
+    """int(text); a decimal past the int<->str digit cap is read in pieces."""
+    try:
+        return int(text)
+    except ValueError as exc:
+        try:
+            return int(convolution.BigDigits.from_decimal(text))
+        except NttError:
+            raise exc from None
+
+
 def read_sequence_file(path: str, json_mode: bool = False) -> list[int]:
     """Parse a sequence file into its values.
 
@@ -53,7 +64,7 @@ def read_sequence_file(path: str, json_mode: bool = False) -> list[int]:
         text = fh.read()
     if json_mode:
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, parse_int=_parse_int)
             length = obj["length"]
             values = list(obj["values"])
             bound = obj.get("bound")
@@ -75,29 +86,32 @@ def read_sequence_file(path: str, json_mode: bool = False) -> list[int]:
         if len(header) not in (1, 2):
             raise NttError(f"{path}: header must be 'N' or 'N B_max'")
         try:
-            length = int(header[0])
-            bound = int(header[1]) if len(header) == 2 else None
-            values = [int(line) for line in lines[1:]]
+            length = _parse_int(header[0])
+            bound = _parse_int(header[1]) if len(header) == 2 else None
+            values = [_parse_int(line) for line in lines[1:]]
         except ValueError as exc:
             raise NttError(f"{path}: non-integer entry: {exc}") from exc
     if len(values) != length:
         raise NttError(
-            f"{path}: declared length {length} but found {len(values)} values"
+            f"{path}: declared length {number_text(length)} but found {len(values)} values"
         )
     if bound is not None:
         worst = max((abs(v) for v in values), default=0)
         if worst > bound:
+            worst, bound = number_text(worst), number_text(bound)
             raise NttError(f"{path}: value magnitude {worst} exceeds declared bound {bound}")
     return values
 
 
 def write_sequence(stream, values: list[int], json_mode: bool = False) -> None:
-    if json_mode:
-        stream.write(json.dumps({"length": len(values), "values": list(values)}) + "\n")
+    try:
+        entries = list(map(str, values))
+    except ValueError:  # an int past the int<->str digit cap
+        entries = [convolution.BigDigits(v).to_decimal() for v in values]
+    if json_mode:  # what json.dumps writes, which cannot write ints past the digit cap
+        stream.write(f'{{"length": {len(entries)}, "values": [{", ".join(entries)}]}}\n')
     else:
-        stream.write(f"{len(values)}\n")
-        for v in values:
-            stream.write(f"{v}\n")
+        stream.write(f"{len(entries)}\n" + "".join(f"{e}\n" for e in entries))
 
 
 def _write_result(path: str | None, values: list[int], json_mode: bool) -> None:

@@ -120,7 +120,7 @@ def convolve_direct(f, g) -> list[int]:
     if n == 0:
         return []
     (bf, _), (bg, _) = _scan(f), _scan(g)
-    dtype = np.int64 if max(bf, bg, n * bf * bg) < INT64_LIMIT else object
+    dtype = np.int64 if max(bf, bg, recovery_bound(n, bf, bg, False)) < INT64_LIMIT else object
     lin = np.convolve(f.astype(dtype, copy=False), g.astype(dtype, copy=False))
     out = lin[:n].copy()
     out[: n - 1] += lin[n:]
@@ -141,17 +141,17 @@ def _crt_product(moduli: list[int]) -> int:
     return product
 
 
-def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
-    """The unique x in [0, prod(moduli)) with x == residues[i] mod moduli[i].
+def _garner(residues: list[np.ndarray], moduli: list[int], product: int) -> np.ndarray:
+    """The unique x in [0, product) with x == residues[i] mod moduli[i].
 
     Garner's mixed-radix digits a_i < m_i, then x = a_0 + m_0*(a_1 + m_1*(...)).
     The digits are int64: a step multiplies t - a, of magnitude below
     2**31, by an inverse below m_i, so the product stays below 2**62 and
-    one floor reduction lands it in [0, m_i).  x is int64 when the
-    product of the moduli is below 2**63, Python ints (object dtype)
-    otherwise.
+    one floor reduction lands it in [0, m_i).  x is int64 when
+    ``product``, the product of the moduli, is below 2**63, Python ints
+    (object dtype) otherwise.
     """
-    dtype = np.int64 if prod(moduli) < INT64_LIMIT else object
+    dtype = np.int64 if product < INT64_LIMIT else object
     digits = []
     for t, mi in zip(residues, moduli):
         for a, mj in zip(digits, moduli):
@@ -193,7 +193,7 @@ def _convolve(f, g, moduli) -> list[int]:
         m = plan.modulus
         spectrum = _mod(_forward(f, plan) * _forward(g, plan), m)
         per_prime.append(np.asarray(inverse_fast(ResidueSequence._wrap(spectrum, m), plan)))
-    values = _garner(per_prime, primes)
+    values = _garner(per_prime, primes, product)
     if signed:  # representatives in (-product/2, product/2]
         values = np.where(values > product // 2, values - product, values)
     return values.tolist()

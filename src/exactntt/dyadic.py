@@ -12,7 +12,7 @@ are therefore built through a mandatory orthogonality check and carry a
 validated/rejected verdict with a concrete witness on rejection.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import modular
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     InputOutOfRange,
     LengthMismatch,
     NormalizationWrap,
+    number_text,
 )
 
 
@@ -32,9 +33,9 @@ def verify_carmichael_dyadic(a: int, alpha: int) -> bool:
     """
     a, alpha = modular._integer(a, "root"), modular._integer(alpha, "alpha")
     if alpha < 3:
-        raise BadInput(f"need alpha >= 3, got {alpha}")
+        raise BadInput(f"need alpha >= 3, got {number_text(alpha)}")
     if a % 2 == 0:
-        raise BadInput(f"root must be odd, got {a}")
+        raise BadInput(f"root must be odd, got {number_text(a)}")
     return pow(a, 1 << (alpha - 2), 1 << alpha) == 1
 
 
@@ -72,53 +73,44 @@ def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPl
     alpha >= beta + length (HeadroomViolation otherwise).  The plan
     comes back validated only if root has exact order ``length`` and
     every off-axis power sum vanishes: sum_u root**(u*k) == 0
-    (mod 2**alpha) for 0 < k < length.
+    (mod 2**alpha) for 0 < k < length.  Those sums are the forward
+    transform of the all-ones sequence, read at bins k >= 1.
     """
     length = modular._integer(length, "length")
     alpha = modular._integer(alpha, "alpha")
     beta = modular._integer(beta, "data bit depth")
     root = modular._integer(root, "root")
     if alpha < 3:
-        raise BadInput(f"need alpha >= 3, got {alpha}")
+        raise BadInput(f"need alpha >= 3, got {number_text(alpha)}")
     if root % 2 == 0:
-        raise BadInput(f"root must be odd, got {root}")
+        raise BadInput(f"root must be odd, got {number_text(root)}")
     if length < 1:
-        raise BadInput(f"length must be >= 1, got {length}")
+        raise BadInput(f"length must be >= 1, got {number_text(length)}")
     if beta < 0:
-        raise BadInput(f"data bit depth must be >= 0, got {beta}")
+        raise BadInput(f"data bit depth must be >= 0, got {number_text(beta)}")
     if alpha < beta + length:
         raise HeadroomViolation(
-            f"alpha {alpha} < data bits {beta} + length {length}: "
-            "shift normalization would be inexact"
+            f"alpha {number_text(alpha)} < data bits {number_text(beta)} + length "
+            f"{number_text(length)}: shift normalization would be inexact"
         )
     mask = (1 << alpha) - 1
     root &= mask
-
-    def rejected(reason, witness=None):
-        return DyadicPlan(alpha, length, root, beta, reason, witness, tuple(powers))
-
-    powers = [1]
-    w = 1
-    for j in range(1, length):
-        w = (w * root) & mask
-        if w == 1:
-            return rejected(f"root order {j} is below the requested length")
+    powers = [1]  # root**j up to the requested length or the first return to 1
+    while len(powers) < length and (w := powers[-1] * root & mask) != 1:
         powers.append(w)
-    if (w * root) & mask != 1:
-        return rejected(f"root**{length} != 1 mod 2**{alpha}")
+    plan = DyadicPlan(alpha, length, root, beta, None, None, tuple(powers))
+    if len(powers) < length:
+        return replace(plan, reason=f"root order {len(powers)} is below the requested length")
+    if powers[-1] * root & mask != 1:
+        return replace(plan, reason=f"root**{length} != 1 mod 2**{alpha}")
     # root has exact order length in (Z/2**alpha)^x, a group of order
     # 2**(alpha-1), so by Lagrange length is a power of two
-
+    sums = _power_sums([1] * length, plan)
     for k in range(1, length):
-        total = 0
-        for u in range(length):
-            total = (total + powers[u * k % length]) & mask
-        if total != 0:
-            return rejected(
-                f"orthogonality fails at k={k}: sum == {total} != 0",
-                witness=(k, total),
-            )
-    return DyadicPlan(alpha, length, root, beta, None, None, tuple(powers))
+        if sums[k]:
+            reason = f"orthogonality fails at k={k}: sum == {number_text(sums[k])} != 0"
+            return replace(plan, reason=reason, witness=(k, sums[k]))
+    return plan
 
 
 def _require_validated(plan: DyadicPlan) -> None:
@@ -126,32 +118,38 @@ def _require_validated(plan: DyadicPlan) -> None:
         raise BadInput(f"plan was rejected: {plan.reason}")
 
 
-def _entries(x, plan: DyadicPlan) -> list[int]:
+def _in_range(x, plan: DyadicPlan, bits: int) -> list[int]:
+    """x as plan.length ints in [0, 2**bits)."""
     x = [modular._integer(v, "sequence entry") for v in x]
     if len(x) != plan.length:
         raise LengthMismatch(f"sequence length {len(x)} != plan length {plan.length}")
-    return x
-
-
-def _check_data(x, plan: DyadicPlan) -> list[int]:
-    x = _entries(x, plan)
-    limit = 1 << plan.data_bits
     for v in x:
-        if v < 0 or v >= limit:
-            raise InputOutOfRange(f"value {v} outside [0, 2**{plan.data_bits})")
+        if v < 0 or v >> bits:
+            raise InputOutOfRange(f"value {number_text(v)} outside [0, 2**{bits})")
     return x
 
 
 def _power_sums(x: list[int], plan: DyadicPlan) -> list[int]:
     # sum_t x(t) * root**(u*t) for every u, truncated to alpha bits
     n, mask, powers = plan.length, plan.mask, plan.root_powers
-    out = []
+    out = [0] * n
     for u in range(n):
-        acc = 0
         for t in range(n):
-            acc = (acc + x[t] * powers[u * t % n]) & mask
-        out.append(acc)
+            out[u] = (out[u] + x[t] * powers[u * t % n]) & mask
     return out
+
+
+def _inverse(X: list[int], plan: DyadicPlan) -> list[int]:
+    # the power sums read at -t mod N, each divided by N with a shift
+    n = plan.length
+    sums = _power_sums(X, plan)
+    sums[1:] = sums[:0:-1]
+    for t, acc in enumerate(sums):
+        if acc & (n - 1):
+            raise NormalizationWrap(
+                f"unnormalized value {number_text(acc)} at t={t} is not divisible by {n}"
+            )
+    return [acc >> (n.bit_length() - 1) for acc in sums]
 
 
 def dyadic_forward(x, plan: DyadicPlan) -> list[int]:
@@ -161,7 +159,7 @@ def dyadic_forward(x, plan: DyadicPlan) -> list[int]:
     multiplications; no modulo instruction.
     """
     _require_validated(plan)
-    return _power_sums(_check_data(x, plan), plan)
+    return _power_sums(_in_range(x, plan, plan.data_bits), plan)
 
 
 def dyadic_inverse(X, plan: DyadicPlan) -> list[int]:
@@ -175,20 +173,7 @@ def dyadic_inverse(X, plan: DyadicPlan) -> list[int]:
     raised.
     """
     _require_validated(plan)
-    X = _entries(X, plan)
-    n = plan.length
-    for v in X:
-        if v < 0 or v > plan.mask:
-            raise InputOutOfRange(f"value {v} outside [0, 2**{plan.alpha})")
-    sums = _power_sums(X, plan)
-    sums[1:] = sums[:0:-1]
-    shift = n.bit_length() - 1
-    for t, acc in enumerate(sums):
-        if acc & (n - 1):
-            raise NormalizationWrap(
-                f"unnormalized value {acc} at t={t} is not divisible by {n}"
-            )
-    return [acc >> shift for acc in sums]
+    return _inverse(_in_range(X, plan, plan.alpha), plan)
 
 
 def dyadic_convolve(f, g, plan: DyadicPlan) -> list[int]:
@@ -199,15 +184,14 @@ def dyadic_convolve(f, g, plan: DyadicPlan) -> list[int]:
     2**alpha, otherwise the shifted division would silently lose bits.
     """
     _require_validated(plan)
-    f = _check_data(f, plan)
-    g = _check_data(g, plan)
+    f = _in_range(f, plan, plan.data_bits)
+    g = _in_range(g, plan, plan.data_bits)
     n, mask = plan.length, plan.mask
     worst = n * n * max(f, default=0) * max(g, default=0)
     if worst > mask:
         raise InputOutOfRange(
-            f"convolution headroom exceeded: N^2*Bf*Bg = {worst} > 2**{plan.alpha} - 1"
+            f"convolution headroom exceeded: N^2*Bf*Bg = {number_text(worst)} "
+            f"> 2**{plan.alpha} - 1"
         )
-    F = dyadic_forward(f, plan)
-    G = dyadic_forward(g, plan)
-    product = [(a * b) & mask for a, b in zip(F, G)]
-    return dyadic_inverse(product, plan)
+    F, G = _power_sums(f, plan), _power_sums(g, plan)
+    return _inverse([(a * b) & mask for a, b in zip(F, G)], plan)

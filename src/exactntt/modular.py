@@ -129,13 +129,13 @@ def totient(m: int) -> int:
 def carmichael_lambda(m: int) -> int:
     """Carmichael function: exponent of the multiplicative group mod m.
 
-    Prime-power rule: odd p**k -> totient(p**k); 2 and 4 -> totient;
-    2**k for k >= 3 -> totient(2**k) // 2.  Combined by lcm.
+    Prime-power rule: p**k -> its totient p**(k-1) * (p-1), halved for
+    p = 2 and k >= 3.  Combined by lcm.
     """
     m = _integer(m, "m")
     if m < 1:
         raise BadInput(f"carmichael_lambda undefined for {m}")
-    parts = (totient(p**k) // (2 if p == 2 and k >= 3 else 1) for p, k in factorize(m).items())
+    parts = ((p - 1) * p ** (k - 1 - (p == 2 and k >= 3)) for p, k in factorize(m).items())
     return lcm(*parts)  # lcm() of nothing, for m = 1, is 1
 
 

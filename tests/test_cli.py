@@ -92,6 +92,34 @@ def test_unparsable_sequence_files_exit_2(tmp_path, capsys, text, json_mode, mes
     assert message in capsys.readouterr().err
 
 
+# 5000 digits: past CPython's default int<->str cap of 4300 digits
+BIG_ENTRY = 10**4999 + 123456789
+BIG_TEXT = "1" + "0" * 4990 + "123456789"
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_sequence_file_round_trip_past_the_digit_cap(tmp_path, digit_cap, json_mode):
+    path, again = tmp_path / "seq", tmp_path / "again"
+    values = [BIG_ENTRY, -BIG_ENTRY, 0, -3]
+    write_seq(path, values, json_mode=json_mode)
+    text = path.read_text()
+    assert text.count(BIG_TEXT) == 2 and f"-{BIG_TEXT}" in text
+    assert cli.read_sequence_file(str(path), json_mode) == values
+    write_seq(again, cli.read_sequence_file(str(path), json_mode), json_mode=json_mode)
+    assert again.read_text() == text
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_convolve_entry_past_the_digit_cap_exits_3(tmp_path, capsys, digit_cap, json_mode):
+    # the file reads, so the bound rule on the built-in table refuses it
+    path = tmp_path / "f"
+    write_seq(path, [BIG_ENTRY, 1], json_mode=json_mode)
+    code = run(["convolve", path, path, *(["--json"] if json_mode else [])])
+    assert code == cli.EXIT_BOUND
+    need = 2 * BIG_ENTRY * BIG_ENTRY  # N * Bf * Bg
+    assert f"bound: need <{need.bit_length()}-bit integer>, capacity " in capsys.readouterr().err
+
+
 # -- convolve ------------------------------------------------------------------
 
 

@@ -47,6 +47,19 @@ def orthogonality_oracle(root, n, alpha):
     )
 
 
+def witness_oracle(root, n, alpha):
+    """First (k, sum) with a nonzero off-axis power sum mod 2**alpha, else None.
+
+    Every power comes from pow(); the sums are taken mod 2**alpha at the end.
+    """
+    m = 1 << alpha
+    for k in range(1, n):
+        total = sum(pow(root, u * k, m) for u in range(n)) % m
+        if total:
+            return k, total
+    return None
+
+
 # -- the power-of-two congruence ------------------------------------------------
 
 
@@ -115,17 +128,25 @@ def test_plan_bad_inputs():
 
 
 def test_validator_matches_orthogonality_oracle():
+    # the verdict of every plan, and the witness (k, sum) of every plan
+    # rejected by a power sum; order failures carry no witness
+    witnesses = 0
     for alpha in range(3, 13):
+        m = 1 << alpha
         for n in range(1, 9):
-            for a in range(1, min(64, 1 << alpha), 2):
+            for a in range(1, 64, 2):  # a root past 2**alpha is truncated
                 if alpha < n:  # headroom forbids the plan outright
                     continue
                 plan = build_dyadic_plan(n, alpha, 0, a)
-                assert plan.validated == orthogonality_oracle(a, n, alpha), (
-                    a,
-                    n,
-                    alpha,
-                )
+                assert plan.validated == orthogonality_oracle(a, n, alpha), (a, n, alpha)
+                exact_order = pow(a, n, m) == 1 and all(pow(a, j, m) != 1 for j in range(1, n))
+                want = witness_oracle(a, n, alpha) if exact_order else None
+                assert plan.witness == want, (a, n, alpha)
+                if want:
+                    k, total = want
+                    assert plan.reason == f"orthogonality fails at k={k}: sum == {total} != 0"
+                    witnesses += 1
+    assert witnesses == 65
 
 
 def test_length_one_plan_is_identity():
@@ -227,6 +248,42 @@ def test_convolve_product_headroom():
     plan = build_dyadic_plan(2, 8, 6, 2**8 - 1)
     with pytest.raises(InputOutOfRange):
         dyadic_convolve([63, 63], [63, 63], plan)
+
+
+# -- numbers past the int<->str digit cap ---------------------------------------------
+
+
+def test_rejected_plan_past_the_digit_cap(digit_cap):
+    # (2**19999 + 1)**2 == 1 mod 2**20000, and 1 + root is the off-axis sum
+    plan = build_dyadic_plan(2, 20000, 0, 2**19999 + 1)
+    assert not plan.validated
+    assert plan.witness == (1, 2**19999 + 2)
+    assert plan.reason == "orthogonality fails at k=1: sum == <20000-bit integer> != 0"
+
+
+def test_forward_input_past_the_digit_cap(digit_cap):
+    plan = build_dyadic_plan(2, 16, 4, 2**16 - 1)
+    bits = (10**5000).bit_length()
+    with pytest.raises(InputOutOfRange, match=rf"^value <{bits}-bit integer> outside \[0, 2\*\*4\)$"):
+        dyadic_forward([10**5000, 0], plan)
+
+
+def test_normalization_wrap_past_the_digit_cap(digit_cap):
+    plan = build_dyadic_plan(2, 20000, 0, 2**20000 - 1)
+    assert plan.validated
+    with pytest.raises(
+        NormalizationWrap,
+        match=r"^unnormalized value <20000-bit integer> at t=0 is not divisible by 2$",
+    ):
+        dyadic_inverse([2**19999, 1], plan)
+
+
+def test_convolution_headroom_past_the_digit_cap(digit_cap):
+    plan = build_dyadic_plan(2, 20000, 19998, 2**20000 - 1)
+    top = 2**19998 - 1
+    bits = (4 * top * top).bit_length()
+    with pytest.raises(InputOutOfRange, match=rf"N\^2\*Bf\*Bg = <{bits}-bit integer> > 2\*\*20000 - 1"):
+        dyadic_convolve([top, 0], [top, 0], plan)
 
 
 # -- truncation == modulo ---------------------------------------------------------------

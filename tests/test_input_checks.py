@@ -4,7 +4,6 @@ one-dimensional, transforms take a ResidueSequence, a big integer is an
 int, and an empty registry holds no modulus (no fallback to the built-in
 table)."""
 
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -376,17 +375,6 @@ def test_number_theory_takes_numpy_integers():
 
 
 # a BoundExceeded whose numbers str() may not write still formats
-
-
-@pytest.fixture
-def digit_cap():
-    """sys.get_int_max_str_digits(), lowered to CPython's default 4300 if above it or off."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("interpreter has no int<->str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(min(old or 4300, 4300))
-    yield sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(old)
 
 
 def test_bound_exceeded_past_the_digit_cap_writes_bit_lengths(digit_cap):
