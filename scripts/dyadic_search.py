@@ -3,10 +3,10 @@
 
 The validator demands exact root order and vanishing off-axis power sums
 mod 2**alpha; this script sweeps a grid and tabulates the verdicts, with
-the failing witness for a sample of rejections.  Empirically only
-length 1 and length 2 with root == 2**alpha - 1 survive, which is why
-the library insists on machine-checked plans instead of assuming
-invertibility.
+the failing witness for a sample of rejections.  Only length 1 and
+length 2 with root == 2**alpha - 1 survive: at exact order N >= 4 the
+power sum at k = 1 never vanishes mod 2**alpha, by the theorem in the
+exactntt.dyadic docstring, and the grid shows that theorem at work.
 
     python scripts/dyadic_search.py --alpha 6 --max-root 63 --max-length 8
 """

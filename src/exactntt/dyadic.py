@@ -7,9 +7,13 @@ transform divides by N with a right shift instead, which is only exact
 when enough spare bits (headroom) keep unnormalized values from
 wrapping.
 
-Not every (root, length) pair yields an invertible transform here: plans
-are therefore built through a mandatory orthogonality check and carry a
-validated/rejected verdict with a concrete witness on rejection.
+A theorem says which (root, length) pairs give an invertible transform.
+Let w be odd with exact order N = 2**j >= 4 mod 2**alpha.  The off-axis
+power sum S_1 = sum_{u<N} w**u is prod_{i<j} (1 + w**(2**i)), and each
+factor with i >= 1 is 2 mod 8.  If w == 1 (mod 4), v_2(S_1) = j <=
+alpha - 2; else v_2(1 + w) = alpha - j and v_2(S_1) = alpha - 1.  So
+S_1 != 0, and only N = 1 with root 1 and N = 2 with root 2**alpha - 1
+validate; any other plan is rejected with a reason or a witness (k, sum).
 """
 
 from dataclasses import dataclass, replace
@@ -43,10 +47,9 @@ def verify_carmichael_dyadic(a: int, alpha: int) -> bool:
 class DyadicPlan:
     """A (root, length) pair over 2**alpha words with a validation verdict.
 
-    ``root_powers[j]`` is root**j truncated to alpha bits.  A plan is
-    validated when it has no rejection ``reason``; transforms accept only
-    those.  A rejected plan keeps the failing (k, sum) witness of an
-    orthogonality failure in ``witness`` for inspection.
+    A rejected plan keeps its ``reason`` and, if a power sum failed, the
+    ``witness`` (k, sum).  ``validated`` reads the fields alone, so the
+    transforms refuse a plan the theorem rules out, whoever built it.
     """
 
     alpha: int
@@ -55,31 +58,36 @@ class DyadicPlan:
     data_bits: int
     reason: str | None
     witness: tuple[int, int] | None
-    root_powers: tuple[int, ...]
 
     @property
     def validated(self) -> bool:
-        return self.reason is None
+        return (
+            self.reason is None
+            and 3 <= self.alpha
+            and 0 <= self.data_bits <= self.alpha - self.length
+            and (self.length, self.root) in ((1, 1), (2, self.mask))
+        )
 
     @property
     def mask(self) -> int:
         return (1 << self.alpha) - 1
 
+    @property
+    def root_powers(self) -> tuple[int, ...]:
+        """root**j truncated to alpha bits, for j < length."""
+        return tuple(pow(self.root, j, 1 << self.alpha) for j in range(self.length))
+
 
 def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPlan:
-    """Construct a plan, validating order and orthogonality by brute force.
+    """Construct a plan, deciding order and orthogonality in closed form.
 
     Preconditions: alpha >= 3, root odd, and the headroom condition
-    alpha >= beta + length (HeadroomViolation otherwise).  The plan
-    comes back validated only if root has exact order ``length`` and
-    every off-axis power sum vanishes: sum_u root**(u*k) == 0
-    (mod 2**alpha) for 0 < k < length.  Those sums are the forward
-    transform of the all-ones sequence, read at bins k >= 1.
+    alpha >= beta + length (HeadroomViolation otherwise).  The plan is
+    validated only if root has exact order N = ``length`` and every
+    power sum sum_u root**(u*k) with 0 < k < N vanishes mod 2**alpha.
     """
-    length = modular._integer(length, "length")
-    alpha = modular._integer(alpha, "alpha")
-    beta = modular._integer(beta, "data bit depth")
-    root = modular._integer(root, "root")
+    length, alpha = modular._integer(length, "length"), modular._integer(alpha, "alpha")
+    beta, root = modular._integer(beta, "data bit depth"), modular._integer(root, "root")
     if alpha < 3:
         raise BadInput(f"need alpha >= 3, got {number_text(alpha)}")
     if root % 2 == 0:
@@ -95,31 +103,32 @@ def build_dyadic_plan(length: int, alpha: int, beta: int, root: int) -> DyadicPl
         )
     mask = (1 << alpha) - 1
     root &= mask
-    powers = [1]  # root**j up to the requested length or the first return to 1
-    while len(powers) < length and (w := powers[-1] * root & mask) != 1:
-        powers.append(w)
-    plan = DyadicPlan(alpha, length, root, beta, None, None, tuple(powers))
-    if len(powers) < length:
-        return replace(plan, reason=f"root order {len(powers)} is below the requested length")
-    if powers[-1] * root & mask != 1:
+    plan = DyadicPlan(alpha, length, root, beta, None, None)
+    # root's order is a power of two, the first 2**j with w = root**(2**j)
+    # == 1: square until then or until 2**j reaches N, gathering S_1
+    order, w, s1 = 1, root, 1
+    while w != 1 and order < length:
+        s1 = s1 * (1 + w) & mask
+        w = w * w & mask
+        order *= 2
+    if order < length:
+        return replace(plan, reason=f"root order {order} is below the requested length")
+    if w != 1 or order > length:
         return replace(plan, reason=f"root**{length} != 1 mod 2**{alpha}")
-    # root has exact order length in (Z/2**alpha)^x, a group of order
-    # 2**(alpha-1), so by Lagrange length is a power of two
-    sums = _power_sums([1] * length, plan)
-    for k in range(1, length):
-        if sums[k]:
-            reason = f"orthogonality fails at k={k}: sum == {number_text(sums[k])} != 0"
-            return replace(plan, reason=reason, witness=(k, sums[k]))
+    if length > 1 and s1:
+        reason = f"orthogonality fails at k=1: sum == {number_text(s1)} != 0"
+        return replace(plan, reason=reason, witness=(1, s1))
     return plan
 
 
-def _require_validated(plan: DyadicPlan) -> None:
+def _entries(x, plan: DyadicPlan, bits: int) -> list[int]:
+    """x as plan.length ints in [0, 2**bits), for a validated plan."""
     if not plan.validated:
-        raise BadInput(f"plan was rejected: {plan.reason}")
-
-
-def _in_range(x, plan: DyadicPlan, bits: int) -> list[int]:
-    """x as plan.length ints in [0, 2**bits)."""
+        raise BadInput(
+            f"plan was rejected: {plan.reason}" if plan.reason is not None else
+            "plan was not validated: only length 1 with root 1 and length 2 with "
+            "root 2**alpha - 1 are, with alpha >= 3 and alpha >= data bits + length"
+        )
     x = [modular._integer(v, "sequence entry") for v in x]
     if len(x) != plan.length:
         raise LengthMismatch(f"sequence length {len(x)} != plan length {plan.length}")
@@ -153,39 +162,28 @@ def _inverse(X: list[int], plan: DyadicPlan) -> list[int]:
 
 
 def dyadic_forward(x, plan: DyadicPlan) -> list[int]:
-    """X(u) = sum_t x(t) * root**(u*t), truncated to alpha bits.
-
-    The kernel uses only masking (truncation), additions and
-    multiplications; no modulo instruction.
-    """
-    _require_validated(plan)
-    return _power_sums(_in_range(x, plan, plan.data_bits), plan)
+    """X(u) = sum_t x(t) * root**(u*t), truncated to alpha bits: no modulo."""
+    return _power_sums(_entries(x, plan, plan.data_bits), plan)
 
 
 def dyadic_inverse(X, plan: DyadicPlan) -> list[int]:
     """Invert dyadic_forward; division by N is a right shift.
 
-    The unnormalized value at t is sum_u X(u) * root**(-u*t), which is
-    the forward power sum read at index -t mod N, so no multiplicative
-    inverse is needed (none exists mod a power of two).  Each
-    unnormalized value must be divisible by N; if not, an intermediate
-    wrapped and the result would be wrong, so NormalizationWrap is
-    raised.
+    The unnormalized value at t is sum_u X(u) * root**(-u*t), the
+    forward power sum read at -t mod N, so no multiplicative inverse is
+    needed (none exists mod a power of two).  An unnormalized value that
+    N does not divide means an intermediate wrapped: NormalizationWrap.
     """
-    _require_validated(plan)
-    return _inverse(_in_range(X, plan, plan.alpha), plan)
+    return _inverse(_entries(X, plan, plan.alpha), plan)
 
 
 def dyadic_convolve(f, g, plan: DyadicPlan) -> list[int]:
     """Exact cyclic convolution through the truncation-arithmetic transform.
 
-    Beyond the per-input range check, the unnormalized convolution
-    coefficients (at most N**2 * max(f) * max(g)) must fit below
-    2**alpha, otherwise the shifted division would silently lose bits.
+    The unnormalized coefficients, at most N**2 * max(f) * max(g), must
+    fit below 2**alpha, else the shifted division would lose bits.
     """
-    _require_validated(plan)
-    f = _in_range(f, plan, plan.data_bits)
-    g = _in_range(g, plan, plan.data_bits)
+    f, g = _entries(f, plan, plan.data_bits), _entries(g, plan, plan.data_bits)
     n, mask = plan.length, plan.mask
     worst = n * n * max(f, default=0) * max(g, default=0)
     if worst > mask:

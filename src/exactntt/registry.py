@@ -52,6 +52,7 @@ class RaderModulus:
         return next((w for w in (8, 16, 32, 64) if bits <= w), bits)
 
     def admits_length(self, n: int) -> bool:
+        n = modular._integer(n, "length")
         return n >= 1 and self.n_max % n == 0
 
 

@@ -276,25 +276,32 @@ class TransformPlan:
 
     At other lengths ``radix_tables`` is None, and the fast transforms,
     like the direct ones, take the direct route, which reads only the
-    twiddles.  build_plan fills the tables once and nothing is cached
-    later, so plans are immutable and safe to share across threads.  The
-    tables follow from (length, modulus, root_step, kernel) and take no
-    part in equality or hashing.
+    twiddles.
+
+    Only build_plan fills the derived fields n_inverse, twiddles and
+    radix_tables, once, after its checks; nothing is cached later, so
+    plans are immutable and safe to share across threads.  They follow
+    from (length, modulus, root_step, kernel) and take no part in
+    equality or hashing.  ``TransformPlan(...)`` takes those four, and
+    ``dataclasses.replace`` refuses the derived fields, so a plan made
+    either way has no tables and every transform refuses it.
     """
 
     length: int
     modulus: int
     root_step: int
     kernel: str
-    n_inverse: int
-    twiddles: np.ndarray = field(repr=False, compare=False)
+    n_inverse: int | None = field(default=None, init=False, compare=False)
+    twiddles: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     radix_tables: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     @property
     def root(self) -> int:
-        return int(self.twiddles[1]) if self.length > 1 else 1
+        return pow(2, self.root_step, self.modulus)
 
 
 def _resolve_modulus(modulus) -> tuple[int, int]:
@@ -445,18 +452,17 @@ def build_plan(length: int, modulus, kernel: str = "mul") -> TransformPlan:
     assert length * n_inverse % m == 1
     arr.flags.writeable = False
     radices = _radices(length, m, kernel)
-    return TransformPlan(
-        length=length,
-        modulus=m,
-        root_step=step,
-        kernel=kernel,
-        n_inverse=n_inverse,
-        twiddles=arr,
-        radix_tables=None if radices is None else _radix_tables(arr, radices, m),
-    )
+    plan = TransformPlan(length, m, step, kernel)
+    object.__setattr__(plan, "n_inverse", n_inverse)
+    object.__setattr__(plan, "twiddles", arr)
+    if radices is not None:
+        object.__setattr__(plan, "radix_tables", _radix_tables(arr, radices, m))
+    return plan
 
 
 def _check_input(x: ResidueSequence, plan: TransformPlan) -> None:
+    if plan.twiddles is None:
+        raise BadInput("plan has no tables: transforms take only plans that build_plan made")
     if not isinstance(x, ResidueSequence):
         raise BadInput(
             f"transforms take a ResidueSequence, got {type(x).__name__}; "

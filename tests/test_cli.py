@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -395,6 +396,22 @@ def test_dyadic_validate(capsys):
     assert run(["dyadic", "validate", "--length", 4, "--alpha", 4, "--root", 3]) == 1
     assert "witness=(1, 8)" in capsys.readouterr().out
     assert run(["dyadic", "validate", "--length", 2, "--alpha", 5, "--beta", 4]) == 2
+
+
+def test_dyadic_validate_decides_a_long_plan_without_a_power_table(capsys):
+    # 3 has order 2**1048582 mod 2**1048584: 21 squarings settle it, where
+    # a table of 2**20 powers of 2**20 bits each would need 128 GiB
+    tracemalloc.start()
+    try:
+        code = run(["dyadic", "validate", "--length", "2^20", "--alpha", 1048584, "--root", 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "REJECTED length=1048576 alpha=1048584 root=3: root**1048576 != 1 mod 2**1048584\n"
+    )
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB peak"
 
 
 def test_dyadic_validate_length_shorthand(capsys):

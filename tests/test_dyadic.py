@@ -1,7 +1,9 @@
+import hashlib
 import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from exactntt.convolution import convolve_direct
 from exactntt.dyadic import (
+    DyadicPlan,
     build_dyadic_plan,
     dyadic_convolve,
     dyadic_forward,
@@ -147,6 +150,56 @@ def test_validator_matches_orthogonality_oracle():
                     assert plan.reason == f"orthogonality fails at k={k}: sum == {total} != 0"
                     witnesses += 1
     assert witnesses == 65
+
+
+def test_exact_order_4096_is_rejected_in_closed_form():
+    # 1 + 2**4092 has exact order 2**12 mod 2**4104: the witness is the
+    # power sum at k = 1, taken here term by term
+    n, alpha, root = 1 << 12, 4104, 1 + 2**4092
+    plan = build_dyadic_plan(n, alpha, 8, root)
+    m = 1 << alpha
+    s1 = sum(pow(root, u, m) for u in range(n)) % m
+    assert not plan.validated and plan.witness == (1, s1) and s1
+    assert plan.reason.startswith("orthogonality fails at k=1: sum == ")
+
+
+def test_plans_hold_no_power_table():
+    plan = build_dyadic_plan(2, 16, 4, 2**16 - 1)
+    assert "root_powers" not in vars(plan)
+    assert plan.root_powers == (1, 65535)
+    with pytest.raises(TypeError):
+        DyadicPlan(16, 2, 2**16 - 1, 4, None, None, (1, 65535))
+
+
+NEGATION = build_dyadic_plan(2, 16, 4, 2**16 - 1)
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        # root 3 has order 2**14, not 4, mod 2**16: dyadic_convolve([1, 0, 0, 0],
+        # [0, 1, 0, 0]) once returned [10, 61, 70, 205] through this plan
+        DyadicPlan(16, 4, 3, 2, None, None),
+        DyadicPlan(16, 1, 3, 2, None, None),
+        DyadicPlan(2, 2, 3, 0, None, None),
+        replace(NEGATION, root=2**15 + 1),
+        replace(NEGATION, data_bits=15),
+        replace(NEGATION, data_bits=-1),
+        replace(NEGATION, alpha=17),
+    ],
+    ids=["order-4", "length-1-root-3", "alpha-2", "root-2^15+1", "no-headroom", "negative-bits", "alpha-17"],
+)
+def test_forged_plans_are_refused_by_transforms(forged):
+    n = forged.length
+    assert not forged.validated
+    for call in (
+        lambda: dyadic_forward([0] * n, forged),
+        lambda: dyadic_inverse([0] * n, forged),
+        lambda: dyadic_convolve([1] + [0] * (n - 1), [0] * n, forged),
+    ):
+        with pytest.raises(BadInput, match="^plan was not validated: ") as info:
+            call()
+        assert "None" not in str(info.value)
 
 
 def test_length_one_plan_is_identity():
@@ -319,6 +372,35 @@ def test_search_script_defaults_reach_the_negation_root():
     assert proc.returncode == 0, proc.stderr
     found = re.findall(r"^  a=\s*(\d+) N=(\d+)(  <- negation root)?$", proc.stdout, re.M)
     assert found == [("1", "1", ""), ("255", "2", "  <- negation root")]
+
+
+# SHA-256 of `dyadic_search.py --alpha a --max-length 16` stdout, taken
+# while plans were still judged by building every power and summing
+CENSUS = {
+    3: "50b82cba3125428de5d99b49b791120923b43e928bf58285188ac6711113a525",
+    4: "769457614ff848aa8ee4bf93bc2b3ee9fd54c8855eb74427d32874ac6d415a47",
+    5: "3c0921f2af8a848da7d152b97ae818bfcd577bae88177711b33becfdac4bf46a",
+    6: "7c1690c11627ef064c94666816874164f0f4af5008829c6d90f57508a6ce023e",
+    7: "dcfad8874bef2a09d0abe07eb60ef2fb5ff0bf6ad196cbfb564d243de3b7098f",
+    8: "63a00777d5d9d032ec3cfcfbefdcb23ea7f2bc7d6fb167e12d1c2a3221a868e7",
+    9: "b2a384776bd926d3eef1111725f33f5585db70603ba2652b6e3978951cd6d4f5",
+    10: "3b11eb11b85f5320a5358e2e4e4d15e4faaacc5a5d9b75154662716182620d56",
+    11: "335a7719c675ea502d326fc85bd684bb4cfad7d111cdd88d207d85a5a6bdb2b4",
+    12: "cf2cd1019c9472a43b6f05bbea30102f0450f7eeebafd0a7206cabcbaf761707",
+}
+
+
+def test_search_script_census_is_pinned():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "dyadic_search.py"
+    digests = {}
+    for alpha in CENSUS:
+        proc = subprocess.run(
+            [sys.executable, str(script), "--alpha", str(alpha), "--max-length", "16"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests[alpha] = hashlib.sha256(proc.stdout).hexdigest()
+    assert digests == CENSUS
 
 
 def test_search_script_prints_its_census():

@@ -289,11 +289,17 @@ def test_rader_modulus_takes_numpy_integers_as_ints():
 
 @pytest.mark.parametrize(
     "length,bound,name",
-    [(4.5, 10, "length"), ("64", 10, "length"), (64, 10.0, "bound"), (64, None, "bound")],
+    [
+        (4.5, 10, "length"), ("64", 10, "length"), (64.0, 10, "length"),
+        (64, 10.0, "bound"), (64, None, "bound"),
+    ],
 )
 def test_select_moduli_arguments_are_integers(length, bound, name):
     with pytest.raises(BadInput, match=f"{name} must be an integer"):
         select_moduli(length, bound)
+    if name == "length":  # a registry row asks the same of a length
+        with pytest.raises(BadInput, match="length must be an integer"):
+            REG[0].admits_length(length)
 
 
 def test_select_moduli_takes_numpy_integers():

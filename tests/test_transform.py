@@ -23,6 +23,7 @@ from exactntt.errors import (
 )
 from exactntt.transform import (
     ResidueSequence,
+    TransformPlan,
     build_plan,
     forward_direct,
     forward_fast,
@@ -95,6 +96,35 @@ def test_plan_tables_are_read_only_int64_arrays():
         plan.twiddles[0] = 5
     with pytest.raises(FrozenInstanceError):
         plan.twiddles = np.ones(16, dtype=np.int64)
+
+
+def test_derived_fields_cannot_be_replaced():
+    # a forged n_inverse made inverse_fast of the transform of 1..8
+    # return (40, 80, ..., 320), with no error
+    plan = build_plan(8, 641)
+    for name, value in (("n_inverse", 5), ("twiddles", plan.twiddles), ("radix_tables", None)):
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            replace(plan, **{name: value})
+    with pytest.raises(TypeError):
+        TransformPlan(8, 641, 80, "mul", 561)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda plan: TransformPlan(plan.length, plan.modulus, plan.root_step, plan.kernel),
+        lambda plan: replace(plan, kernel="shift"),
+        lambda plan: replace(plan, root_step=2 * plan.root_step),
+    ],
+    ids=["hand-built", "replaced-kernel", "replaced-root-step"],
+)
+@pytest.mark.parametrize("fn", [forward_fast, inverse_fast, forward_direct, inverse_direct])
+def test_transforms_take_only_built_plans(forge, fn):
+    plan = build_plan(8, 641)
+    forged = forge(plan)
+    assert forged.twiddles is None and forged.n_inverse is None and forged.radix_tables is None
+    with pytest.raises(BadInput, match="only plans that build_plan made"):
+        fn(ResidueSequence(range(1, 9), 641), forged)
 
 
 def test_equal_builds_give_equal_plans():
@@ -506,22 +536,22 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 RADIX_PRIMES = [e.prime for e in registry.builtin_rader_primes()] + [1214251009, 825753601]
 
 
-def radix2(plan):
+def radix2(plan, with_tables):
     """The same plan split into log2 N radix-2 stages.  Their add and
     subtract joins share no matmul with the float64 joins of r > 2."""
     k = plan.length.bit_length() - 1
-    return replace(plan, radix_tables=transform._radix_tables(plan.twiddles, (2,) * k, plan.modulus))
+    return with_tables(plan, transform._radix_tables(plan.twiddles, (2,) * k, plan.modulus))
 
 
 @pytest.mark.parametrize("m", RADIX_PRIMES)
-def test_radix_equals_stockham_and_direct(m):
+def test_radix_equals_stockham_and_direct(m, with_tables):
     order = modular.multiplicative_order(2, m)
     for n in (1 << k for k in range(1, 13)):
         if order % n:
             continue
         plan = build_plan(n, m)
         assert [t.shape[0] for t in plan.radix_tables] == list(transform._radices(n, m, "mul"))
-        split = radix2(plan)
+        split = radix2(plan, with_tables)
         # all m-1 is the largest sum each matrix product can meet
         for x in (random_sequence(n, m, n), ResidueSequence([m - 1] * n, m)):
             assert forward_fast(x, plan) == forward_fast(x, split) == forward_direct(x, plan)
@@ -529,12 +559,12 @@ def test_radix_equals_stockham_and_direct(m):
 
 
 @pytest.mark.long
-def test_radix_equals_stockham_at_2_19():
+def test_radix_equals_stockham_at_2_19(with_tables):
     # four stages (32, 32, 32, 16); two of them transpose a 3-D view
     n, m = 1 << 19, 13631489
     plan = build_plan(n, m)
     assert [table.shape[0] for table in plan.radix_tables] == [32, 32, 32, 16]
-    split = radix2(plan)
+    split = radix2(plan, with_tables)
     for x in (random_sequence(n, m, 19), ResidueSequence([m - 1] * n, m)):
         spectrum = forward_fast(x, plan)
         assert spectrum == forward_fast(x, split)
@@ -626,7 +656,8 @@ def test_dense_tables_are_read_only_and_outside_equality():
         assert table.dtype == np.float64 and np.abs(table).max() <= (m - 1) // 2
         with pytest.raises(ValueError):
             table[0, 0] = 5
-    assert plan == replace(plan, radix_tables=None) and "radix_tables" not in repr(plan)
+    rebuilt = TransformPlan(plan.length, plan.modulus, plan.root_step, plan.kernel)
+    assert plan == rebuilt and hash(plan) == hash(rebuilt) and "radix_tables" not in repr(plan)
 
 
 @pytest.mark.parametrize("split", [(128, 2), (2, 128), (4, 2, 2, 16)])
